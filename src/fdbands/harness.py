@@ -24,9 +24,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .blas import set_blas_threads
 from .errors import ConfigError, DomainGuardViolation, NotAvailable
 from .fdata import Curve, FunctionalSample, Grid
-from .quantile import QUANTILE_METHODS, estimate_quantile
+from .quantile import GKF_METHODS, QUANTILE_METHODS, check_gkf_alpha, estimate_quantile
 from .rng import StreamKey
 from .scb import SE_MODES, construct_scb, covers
 from .simmodels import (
@@ -104,6 +105,8 @@ class ExperimentConfig:
             raise ConfigError(f"need at least 100 replicates, got {self.replicates}")
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError(f"alpha must be in (0, 1), got {self.alpha}")
+        if any(m in GKF_METHODS for m in self.methods):
+            check_gkf_alpha(self.alpha)
         if self.grid_size < 3:
             raise ConfigError("grid_size must be >= 3")
         minimum = max(2, _MIN_N.get(self.statistic, 2))
@@ -325,6 +328,11 @@ def _init_worker(payload: dict) -> None:
     _CTX = _build_context(payload)
 
 
+def _init_pool_worker(payload: dict, blas_threads: int) -> None:
+    set_blas_threads(blas_threads)
+    _init_worker(payload)
+
+
 def _replicate(rep: int):
     """Run one replicate; returns (covered per method) or None on a guard trip."""
     ctx = _CTX
@@ -367,7 +375,24 @@ def resolve_workers(configured: int = 0) -> int:
             raise ConfigError(f"{WORKERS_ENV_VAR}={env!r} is not an integer") from None
     if configured > 0:
         return configured
-    return os.cpu_count() or 1
+    return available_cores()
+
+
+def available_cores() -> int:
+    """Cores this process may run on (its affinity mask where the OS has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _coverage_pool(workers: int, payload: dict) -> ProcessPoolExecutor:
+    """Worker pool that shares the cores: each worker gets cores // workers BLAS threads."""
+    return ProcessPoolExecutor(
+        max_workers=workers,
+        initializer=_init_pool_worker,
+        initargs=(payload, max(1, available_cores() // workers)),
+    )
 
 
 def _cell_payload(cfg: ExperimentConfig, n: int, force_zero_q: bool) -> dict:
@@ -414,9 +439,7 @@ def run_coverage(cfg: ExperimentConfig, force_zero_q: bool = False) -> CoverageR
             results = [_replicate(r) for r in range(reps)]
         else:
             chunk = max(1, reps // (8 * workers))
-            with ProcessPoolExecutor(
-                max_workers=workers, initializer=_init_worker, initargs=(payload,)
-            ) as pool:
+            with _coverage_pool(workers, payload) as pool:
                 results = list(pool.map(_replicate, range(reps), chunksize=chunk))
         violations = sum(1 for r in results if r is None)
         successes = reps - violations

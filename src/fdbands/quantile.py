@@ -54,7 +54,6 @@ class MultiplierConfig:
     studentize: str = "plain"
     b: int = 1000
     key: StreamKey = StreamKey(0)
-    t_ddof: int = 1  # divisor n - t_ddof inside the per-replicate sd
 
     def __post_init__(self):
         if self.kind not in ("gaussian", "rademacher"):
@@ -107,6 +106,12 @@ def _check_alpha(alpha: float) -> None:
         raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
 
 
+def check_gkf_alpha(alpha: float) -> None:
+    """The Euler-characteristic root is only sought for alpha in (0.001, 0.5)."""
+    if not 0.001 < alpha < 0.5:
+        raise ConfigError(f"gkf quantile needs alpha in (0.001, 0.5), got {alpha}")
+
+
 # --------------------------------------------------------------------------
 # multiplier bootstrap
 # --------------------------------------------------------------------------
@@ -145,7 +150,7 @@ def bootstrap_quantile(drs: DeltaResidualSet, cfg: MultiplierConfig, alpha: floa
         if cfg.studentize == "plain":
             stats = np.abs(m) / pooled_sd
         else:
-            s2 = np.maximum((g * g) @ res_sq - m * m, 0.0) / (n - cfg.t_ddof)
+            s2 = np.maximum((g * g) @ res_sq - m * m, 0.0) / (n - 1)
             s = np.sqrt(s2)
             am = np.abs(m)
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -244,8 +249,7 @@ def gkf_quantile(cfg: GkfConfig, alpha: float) -> QuantileEstimate:
     decreasing in q, so bisection on [1, 50] finds the unique root; an
     alpha too large for the branch is reported, never clamped.
     """
-    if not 0.001 < alpha < 0.5:
-        raise ConfigError(f"gkf quantile needs alpha in (0.001, 0.5), got {alpha}")
+    check_gkf_alpha(alpha)
 
     def expansion(u: float) -> float:
         return (

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, SampleTooSmall, ShapeMismatch
+from .errors import ConfigError, NonFiniteValue, SampleTooSmall, ShapeMismatch
 from .fdata import Curve, FunctionalSample, Grid
 from .quantile import QuantileEstimate, estimate_quantile
 from .rng import StreamKey
@@ -167,8 +167,13 @@ def gauss_test(
     reject = max_stat > threshold
 
     # The rejection decision must coincide with the band (in the same
-    # units) not covering the null curve; both derive from one maximum.
-    assert covers(band, Curve(grid, np.zeros(len(grid)))) == (not reject)
+    # units) not covering the null curve; both derive from one maximum, so
+    # in IEEE arithmetic only a NaN statistic or quantile can split them.
+    if covers(band, Curve(grid, np.zeros(len(grid)))) == reject:
+        raise NonFiniteValue(
+            f"band and max_stat > threshold disagree (max_stat={max_stat!r}, "
+            f"threshold={threshold!r})"
+        )
 
     return GaussTestResult(
         statistic=statistic,

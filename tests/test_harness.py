@@ -1,3 +1,4 @@
+import _ctypes
 import math
 
 import numpy as np
@@ -13,9 +14,14 @@ from fdbands import (
     sample_model,
     truth_curve,
 )
+from fdbands import blas
+from fdbands.blas import blas_thread_counts, set_blas_threads
 from fdbands.harness import (
     CoverageReport,
     ExperimentConfig,
+    _cell_payload,
+    _coverage_pool,
+    available_cores,
     band_curves,
     gaussian_exact_bias,
     gaussian_exact_se,
@@ -83,6 +89,19 @@ def test_config_model_c_rejects_exact_se():
 def test_config_gaussian_exact_rejects_bias_flag():
     with pytest.raises(ConfigError):
         ExperimentConfig(se_mode="gaussian_exact", bias_correction=True)
+
+
+@pytest.mark.parametrize("methods", [("gkf",), ("mult", "tgkf")])
+def test_config_rejects_alpha_outside_gkf_range(methods):
+    # caught when the config is built, not inside a pool worker
+    with pytest.raises(ConfigError, match="gkf quantile needs alpha"):
+        ExperimentConfig(methods=methods, alpha=0.6)
+    ExperimentConfig(methods=("mult",), alpha=0.6)
+
+
+def test_resolve_workers_defaults_to_available_cores(monkeypatch):
+    monkeypatch.delenv("FDBANDS_WORKERS", raising=False)
+    assert resolve_workers() == available_cores() >= 1
 
 
 def test_resolve_workers_env_override(monkeypatch):
@@ -208,6 +227,36 @@ def test_coverage_deterministic_across_worker_counts(tmp_path, monkeypatch):
     monkeypatch.setenv("FDBANDS_WORKERS", "2")
     run_coverage(_tiny_config(output=str(out2), statistic="cohens_d"))
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_pool_workers_get_a_fair_share_of_blas_threads():
+    if not blas_thread_counts():
+        pytest.skip("no OpenBLAS found in this process")
+    workers = 2
+    payload = _cell_payload(_tiny_config(), 20, False)
+    with _coverage_pool(workers, payload) as pool:
+        counts = pool.submit(blas_thread_counts).result(timeout=60)
+    want = max(1, available_cores() // workers)
+    assert counts == (want,) * len(counts)
+
+
+def test_run_coverage_leaves_parent_blas_threads(monkeypatch):
+    before = blas_thread_counts()
+    monkeypatch.setenv("FDBANDS_WORKERS", "2")
+    run_coverage(_tiny_config())
+    assert blas_thread_counts() == before
+
+
+def test_blas_helpers_are_noops_without_openblas(monkeypatch):
+    # a missing file and a library without the symbols are both skipped
+    not_blas = _ctypes.__file__
+    monkeypatch.setattr(blas, "_mapped_openblas_paths", lambda: ["/nonexistent/libopenblas.so", not_blas])
+    blas._openblas_functions.cache_clear()
+    try:
+        set_blas_threads(1)
+        assert blas_thread_counts() == ()
+    finally:
+        blas._openblas_functions.cache_clear()
 
 
 def test_mean_statistic_baseline_coverage():

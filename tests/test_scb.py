@@ -8,6 +8,7 @@ from fdbands import (
     FunctionalSample,
     Grid,
     ModelSpec,
+    NonFiniteValue,
     QuantileEstimate,
     SampleTooSmall,
     ShapeMismatch,
@@ -17,6 +18,7 @@ from fdbands import (
     gauss_test,
     sample_model,
 )
+from fdbands import scb as scb_module
 
 GRID = Grid.equispaced(5)
 
@@ -99,6 +101,22 @@ def test_gauss_test_result_invariant_and_determinism():
     assert res.reject == (res.max_stat > res.threshold)
     res2 = gauss_test(sample, "skewness_z", 0.05, "mult", "gaussian_exact", b=300, key=StreamKey(2))
     assert res.max_stat == res2.max_stat and res.reject == res2.reject
+
+
+@pytest.mark.parametrize("se_mode", ["gaussian_exact", "estimated"])
+def test_gauss_test_raises_when_band_and_decision_disagree(monkeypatch, se_mode):
+    # an explicit check, not an assert: it must hold under python -O too
+    sample = _model_sample("A", 60, 1)
+    monkeypatch.setattr(scb_module, "covers", lambda band, truth: not covers(band, truth))
+    with pytest.raises(NonFiniteValue, match="disagree"):
+        gauss_test(sample, "skewness_z", 0.05, "mult", se_mode, b=300, key=StreamKey(2))
+
+
+def test_gauss_test_nan_quantile_is_not_a_silent_accept(monkeypatch):
+    sample = _model_sample("A", 60, 1)
+    monkeypatch.setattr(scb_module, "estimate_quantile", lambda *args, **kwargs: _q(float("nan")))
+    with pytest.raises(NonFiniteValue):
+        gauss_test(sample, "skewness_z", key=StreamKey(2))
 
 
 def test_gauss_test_statistic_and_se_mode_validation():
