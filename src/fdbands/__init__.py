@@ -59,6 +59,7 @@ from .transforms import (
     evaluate,
     gaussian_bias_g2,
     gaussian_cohens_d_cov,
+    gaussian_null,
     gaussian_se_g1,
     gaussian_se_g2,
     get_transformation,

@@ -11,6 +11,7 @@ write/read round trip is bit-exact.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,10 +127,6 @@ def validate(sample: FunctionalSample) -> None:
         raise NonFiniteValue("sample contains non-finite values")
 
 
-def _format_row(row: np.ndarray) -> str:
-    return ",".join(f"{v:.17g}" for v in row)
-
-
 def _parse_row(line: str, lineno: int) -> list[float]:
     cells = line.split(",")
     out = []
@@ -144,14 +141,15 @@ def _parse_row(line: str, lineno: int) -> list[float]:
 def write_sample_csv(sample: FunctionalSample, path) -> None:
     """Write grid + curves; values keep full float64 precision."""
     validate(sample)
+    row_format = ",".join(["%.17g"] * sample.t) + "\n"
     with open(path, "w", newline="\n") as fh:
-        fh.write(_format_row(sample.grid.points) + "\n")
-        for row in sample.values:
-            fh.write(_format_row(row) + "\n")
+        fh.write(row_format % tuple(sample.grid.points.tolist()))
+        for row in sample.values.tolist():
+            fh.write(row_format % tuple(row))
 
 
-def read_sample_csv(path) -> FunctionalSample:
-    """Parse a sample CSV written by write_sample_csv (or by hand)."""
+def _parse_lines(path) -> tuple[Grid, list[list[float]]]:
+    """Line-by-line parse that names the first offending line and cell."""
     with open(path, "r") as fh:
         lines = [ln for ln in (raw.strip() for raw in fh) if ln]
     if len(lines) < 2:
@@ -164,6 +162,26 @@ def read_sample_csv(path) -> FunctionalSample:
         if len(row) != width:
             raise ShapeMismatch(f"line {i}: {len(row)} cells, expected {width}")
         rows.append(row)
-    sample = FunctionalSample(grid, np.array(rows))
+    return grid, rows
+
+
+def read_sample_csv(path) -> FunctionalSample:
+    """Parse a sample CSV written by write_sample_csv (or by hand).
+
+    numpy's C reader parses well-formed files; a file it rejects is parsed
+    again line by line, which accepts the same inputs and raises
+    ParseError / ShapeMismatch with the offending line number.
+    """
+    try:
+        with open(path, "r") as fh, warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+            table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        table = None
+    if table is None or table.shape[0] < 2:
+        grid, rows = _parse_lines(path)
+    else:
+        grid, rows = Grid(table[0]), table[1:]
+    sample = FunctionalSample(grid, rows)
     validate(sample)
     return sample

@@ -27,7 +27,13 @@ import numpy as np
 from .blas import set_blas_threads
 from .errors import ConfigError, DomainGuardViolation, NotAvailable
 from .fdata import Curve, FunctionalSample, Grid
-from .quantile import GKF_METHODS, QUANTILE_METHODS, check_gkf_alpha, estimate_quantile
+from .quantile import (
+    GKF_METHODS,
+    QUANTILE_METHODS,
+    check_gkf_alpha,
+    estimate_quantile,
+    import_deferred,
+)
 from .rng import StreamKey
 from .scb import SE_MODES, construct_scb, covers
 from .simmodels import (
@@ -40,18 +46,16 @@ from .simmodels import (
     sample_model,
 )
 from .transforms import (
+    GAUSSIAN_NULL_STATISTICS,
     TRANSFORMATION_NAMES,
     bias_estimate,
     delta_residuals,
-    gaussian_bias_g2,
-    gaussian_se_g1,
-    gaussian_se_g2,
+    gaussian_null,
     get_transformation,
+    min_sample_size,
 )
 
 WORKERS_ENV_VAR = "FDBANDS_WORKERS"
-
-_MIN_N = {"skewness_z": 8, "kurtosis_z": 20}
 
 
 # --------------------------------------------------------------------------
@@ -109,7 +113,7 @@ class ExperimentConfig:
             check_gkf_alpha(self.alpha)
         if self.grid_size < 3:
             raise ConfigError("grid_size must be >= 3")
-        minimum = max(2, _MIN_N.get(self.statistic, 2))
+        minimum = min_sample_size(self.statistic)
         for n in self.sample_sizes:
             if n < minimum:
                 raise ConfigError(f"sample size {n} below the minimum {minimum} for {self.statistic}")
@@ -235,12 +239,8 @@ def gaussian_exact_se(model, statistic: str, grid: Grid, n: int) -> Curve:
     if statistic == "cohens_d":
         d = model_mean(kind, s) / amp
         return Curve(grid, np.sqrt((1.0 + 0.5 * d * d) / n))
-    if statistic == "skewness":
-        return Curve(grid, np.full(len(grid), gaussian_se_g1(n)))
-    if statistic == "kurtosis":
-        return Curve(grid, np.full(len(grid), gaussian_se_g2(n)))
-    if statistic in ("skewness_z", "kurtosis_z"):
-        return Curve(grid, np.ones(len(grid)))
+    if statistic in GAUSSIAN_NULL_STATISTICS:
+        return Curve(grid, np.full(len(grid), gaussian_null(statistic, n)[0]))
     raise NotAvailable(f"no exact se for statistic {statistic!r}")
 
 
@@ -250,8 +250,8 @@ def gaussian_exact_bias(model, statistic: str, grid: Grid, n: int) -> Curve:
     if kind not in ("A", "B"):
         raise NotAvailable("exact bias requires a Gaussian model")
     statistic = statistic.lower()
-    if statistic == "kurtosis":
-        return Curve(grid, np.full(len(grid), gaussian_bias_g2(n)))
+    if statistic in GAUSSIAN_NULL_STATISTICS:
+        return Curve(grid, np.full(len(grid), gaussian_null(statistic, n)[1]))
     if statistic == "variance":
         amp = model_amplitude(kind, grid.points)
         return Curve(grid, -(amp * amp) / n)
@@ -388,6 +388,7 @@ def available_cores() -> int:
 
 def _coverage_pool(workers: int, payload: dict) -> ProcessPoolExecutor:
     """Worker pool that shares the cores: each worker gets cores // workers BLAS threads."""
+    import_deferred(payload["methods"])
     return ProcessPoolExecutor(
         max_workers=workers,
         initializer=_init_pool_worker,
@@ -491,24 +492,17 @@ def band_curves(
     drs = delta_residuals(t, sample)
     q = estimate_quantile(drs, method, alpha, b=b, key=key)
     if se_mode == "gaussian_exact":
-        if statistic not in ("skewness", "kurtosis", "skewness_z", "kurtosis_z"):
+        if statistic not in GAUSSIAN_NULL_STATISTICS:
             raise ConfigError(
                 "gaussian_exact se from a bare sample is only defined for "
                 "skewness/kurtosis statistics"
             )
         if bias_correction:
             raise ConfigError("gaussian_exact already centers with the exact null mean")
-        n = sample.n
         grid = sample.grid
-        sd = {
-            "skewness": gaussian_se_g1(n),
-            "kurtosis": gaussian_se_g2(n),
-            "skewness_z": 1.0,
-            "kurtosis_z": 1.0,
-        }[statistic]
+        sd, null_mean = gaussian_null(statistic, sample.n)
         se = Curve(grid, np.full(len(grid), sd))
-        bias_value = gaussian_bias_g2(n) if statistic == "kurtosis" else 0.0
-        bias = Curve(grid, np.full(len(grid), bias_value))
+        bias = Curve(grid, np.full(len(grid), null_mean))
     else:
         se = drs.se
         bias = bias_estimate(t, sample) if bias_correction else None

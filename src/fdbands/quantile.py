@@ -19,8 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import erfc, stdtr
 
 from .errors import (
     ConfigError,
@@ -39,6 +37,11 @@ GKF_METHODS = ("gkf", "tgkf")
 QUANTILE_METHODS = BOOTSTRAP_METHODS + GKF_METHODS
 
 _BOOTSTRAP_CHUNK = 512  # multiplier rows per block; fixed so streams never depend on B
+
+# GKF root: stop once a step moves q by at most xtol + rtol |q|.
+_ROOT_XTOL = 1e-14
+_ROOT_RTOL = 8.9e-16
+_ROOT_MAX_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -194,29 +197,52 @@ def hermite(n: int, u) -> np.ndarray | float:
     return h if h.ndim else float(h)
 
 
+def import_deferred(methods) -> None:
+    """Import now what the named methods would import on first use.
+
+    A process that forks workers calls this first, so the workers share
+    the modules instead of each importing them again.
+    """
+    if "tgkf" in methods:
+        import scipy.special  # noqa: F401
+
+
+def _ec_terms(u: float, field_kind: str, nu: float | None) -> tuple[float, float, float, float]:
+    """rho_0(u), rho_1(u) and their derivatives in u, at a scalar u."""
+    if field_kind == "gaussian":
+        rho0 = 0.5 * math.erfc(u / math.sqrt(2.0))
+        rho1 = math.exp(-0.5 * u * u) / (2.0 * math.pi)
+        # rho_0' = -phi(u) = -sqrt(2 pi) rho_1(u)
+        return rho0, rho1, -math.sqrt(2.0 * math.pi) * rho1, -u * rho1
+    # Deferred: scipy.special is only needed for the Student tail, and
+    # importing it costs more than everything else `import fdbands` loads.
+    from scipy.special import stdtr
+
+    s = 1.0 + u * u / nu
+    rho1 = s ** (-(nu - 1.0) / 2.0) / (2.0 * math.pi)
+    log_norm = math.lgamma((nu + 1.0) / 2.0) - math.lgamma(nu / 2.0) - 0.5 * math.log(nu * math.pi)
+    pdf = math.exp(log_norm) * s ** (-(nu + 1.0) / 2.0)
+    return float(stdtr(nu, -u)), rho1, -pdf, -(nu - 1.0) / nu * u / s * rho1
+
+
 def ec_density(d: int, u, field_kind: str = "gaussian", nu: float | None = None):
     """Euler-characteristic density rho_d(u) for a unit-variance field.
 
     d = 0 is the upper tail probability of the marginal (Gaussian or
     Student-t); d = 1 is the interval-domain density
     (2 pi)^{-1} e^{-u^2/2}, or (2 pi)^{-1} (1 + u^2/nu)^{-(nu-1)/2} for a
-    t field.
+    t field.  u may be a scalar or an array.
     """
     if d not in (0, 1):
         raise DegreeOutOfRange(f"ec_density supports d in {{0, 1}}, got {d}")
-    u = np.asarray(u, dtype=float)
-    if field_kind == "gaussian":
-        out = 0.5 * erfc(u / math.sqrt(2.0)) if d == 0 else np.exp(-0.5 * u * u) / (2.0 * math.pi)
-    elif field_kind == "t":
+    if field_kind == "t":
         if nu is None or nu <= 0:
             raise ConfigError("t field needs positive degrees of freedom nu")
-        if d == 0:
-            out = stdtr(nu, -u)
-        else:
-            out = (1.0 + u * u / nu) ** (-(nu - 1.0) / 2.0) / (2.0 * math.pi)
-    else:
+    elif field_kind != "gaussian":
         raise ConfigError(f"field_kind must be gaussian|t, got {field_kind!r}")
-    return out if np.ndim(out) else float(out)
+    u = np.asarray(u, dtype=float)
+    out = np.array([_ec_terms(float(x), field_kind, nu)[d] for x in u.flat]).reshape(u.shape)
+    return out if out.ndim else float(out)
 
 
 def estimate_lkc1(residuals: np.ndarray, se: Curve, grid: Grid) -> float:
@@ -246,23 +272,46 @@ def gkf_quantile(cfg: GkfConfig, alpha: float) -> QuantileEstimate:
 
     alpha/2 because the two-sided band bounds the maximum of |field| and
     the limiting field is symmetric.  The expansion's left side is strictly
-    decreasing in q, so bisection on [1, 50] finds the unique root; an
-    alpha too large for the branch is reported, never clamped.
+    decreasing in q, so the root in [1, 50] is unique; it is found by
+    Newton steps from q = 1 with the closed-form derivative, falling back
+    to bisection of the shrinking bracket whenever a step would leave it.
+    An alpha outside the branch is reported, never clamped.
     """
     check_gkf_alpha(alpha)
+    target = 0.5 * alpha
 
-    def expansion(u: float) -> float:
-        return (
-            cfg.l0 * ec_density(0, u, cfg.field_kind, cfg.nu)
-            + cfg.l1 * ec_density(1, u, cfg.field_kind, cfg.nu)
-            - 0.5 * alpha
-        )
+    def expansion(u: float) -> tuple[float, float]:
+        rho0, rho1, drho0, drho1 = _ec_terms(u, cfg.field_kind, cfg.nu)
+        return cfg.l0 * rho0 + cfg.l1 * rho1, cfg.l0 * drho0 + cfg.l1 * drho1
+
+    def close(a: float, b: float) -> bool:
+        return abs(a - b) <= _ROOT_XTOL + _ROOT_RTOL * abs(a)
 
     lo, hi = 1.0, 50.0
-    if expansion(lo) < 0.0:
+    level, slope = expansion(lo)
+    if level < target:
         raise NoRoot(f"alpha={alpha:g} too large: threshold falls below u = 1")
-    q = float(brentq(expansion, lo, hi, xtol=1e-14, rtol=8.9e-16))
-    residual = expansion(q)
+    if expansion(hi)[0] > target:
+        raise NoRoot(f"alpha={alpha:g} too small: threshold lies above u = 50")
+    q = lo
+    for _ in range(_ROOT_MAX_STEPS):
+        if level > target:
+            lo = q
+        elif level < target:
+            hi = q
+        else:
+            break
+        # Newton step for log(level / target) = 0: the log of the
+        # expansion is close to quadratic in q, so few steps are needed.
+        q_next = q - math.log(level / target) * level / slope if level > 0.0 and slope < 0.0 else hi
+        if not (lo < q_next < hi or close(q_next, q)):
+            q_next = 0.5 * (lo + hi)
+        converged = close(q_next, q)
+        q = q_next
+        level, slope = expansion(q)
+        if converged:
+            break
+    residual = level - target
     if abs(residual) > 1e-10:
         raise NoRoot(f"root refinement stalled, |residual| = {abs(residual):.2e}")
     return QuantileEstimate(

@@ -25,18 +25,17 @@ from .fdata import Curve, FunctionalSample, Grid
 from .quantile import QuantileEstimate, estimate_quantile
 from .rng import StreamKey
 from .transforms import (
+    GAUSSIAN_NULL_STATISTICS,
+    MIN_N,
     bias_estimate,
     delta_residuals,
-    gaussian_bias_g2,
-    gaussian_se_g1,
-    gaussian_se_g2,
+    gaussian_null,
     get_transformation,
+    min_sample_size,
 )
 
-GAUSS_TEST_STATISTICS = ("skewness", "kurtosis", "skewness_z", "kurtosis_z")
+GAUSS_TEST_STATISTICS = GAUSSIAN_NULL_STATISTICS
 SE_MODES = ("estimated", "gaussian_exact")
-
-_MIN_N = {"skewness": 4, "kurtosis": 4, "skewness_z": 8, "kurtosis_z": 20}
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,8 +125,9 @@ def gauss_test(
     if se_mode not in SE_MODES:
         raise ConfigError(f"se_mode must be one of {SE_MODES}, got {se_mode!r}")
     n = sample.n
-    if n < _MIN_N[statistic]:
-        raise SampleTooSmall(f"{statistic} test needs n >= {_MIN_N[statistic]}, got {n}")
+    minimum = max(min_sample_size(statistic), MIN_N["gaussian_null"])
+    if n < minimum:
+        raise SampleTooSmall(f"{statistic} test needs n >= {minimum}, got {n}")
     if key is None:
         key = StreamKey(0)
 
@@ -139,12 +139,7 @@ def gauss_test(
     if se_mode == "gaussian_exact":
         if bias_correction:
             raise ConfigError("gaussian_exact already centers with the exact null mean")
-        if statistic == "skewness":
-            sd, null_mean = gaussian_se_g1(n), 0.0
-        elif statistic == "kurtosis":
-            sd, null_mean = gaussian_se_g2(n), gaussian_bias_g2(n)
-        else:
-            sd, null_mean = 1.0, 0.0
+        sd, null_mean = gaussian_null(statistic, n)
         centered = drs.estimate.values - null_mean
         max_stat = float(np.max(np.abs(centered)))
         threshold = q.q * sd

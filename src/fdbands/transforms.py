@@ -32,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, DomainGuardViolation, SampleTooSmall, ShapeMismatch
+from .errors import ConfigError, DomainGuardViolation, NotAvailable, SampleTooSmall, ShapeMismatch
 from .fdata import Curve, FunctionalSample, Grid
 from .moments import (
     MomentEstimates,
@@ -47,6 +47,12 @@ from .moments import (
 _REL_VARIANCE_FLOOR = 1e-12
 # Kurtosis-transform guard: the inner 1 + (...) expression must stay positive.
 _Z2_U_FLOOR = 1e-8
+
+# Smallest sample size each finite-N formula accepts: the constants of the
+# Z1 (skewness_z) and Z2 (kurtosis_z) normalizing transforms, and the exact
+# Gaussian null sd and mean of the skewness and kurtosis estimators.
+MIN_N = {"Z1": 8, "Z2": 20, "gaussian_null": 4}
+_Z_KINDS = {"skewness_z": "Z1", "kurtosis_z": "Z2"}
 
 TRANSFORMATION_NAMES = (
     "mean",
@@ -391,8 +397,8 @@ def z_params(kind: str, n) -> ZTransformParams:
     if math.isinf(n):
         return ZTransformParams(kind=kind, n=n)
     if kind == "Z1":
-        if n < 8:
-            raise SampleTooSmall(f"skewness transform needs n >= 8, got {n:g}")
+        if n < MIN_N["Z1"]:
+            raise SampleTooSmall(f"skewness transform needs n >= {MIN_N['Z1']}, got {n:g}")
         c1 = 6.0 * (n - 2.0) / ((n + 1.0) * (n + 3.0))
         c2 = (
             3.0 * (n * n + 27.0 * n - 70.0) * (n + 1.0) * (n + 3.0)
@@ -403,8 +409,8 @@ def z_params(kind: str, n) -> ZTransformParams:
         alpha = math.sqrt(2.0 / (w2 - 1.0))
         delta = 1.0 / math.sqrt(math.log(w))
         return ZTransformParams(kind=kind, n=n, c1=c1, c2=c2, w=w, alpha=alpha, delta=delta)
-    if n < 20:
-        raise SampleTooSmall(f"kurtosis transform needs n >= 20, got {n:g}")
+    if n < MIN_N["Z2"]:
+        raise SampleTooSmall(f"kurtosis transform needs n >= {MIN_N['Z2']}, got {n:g}")
     b1 = 3.0 * (n - 1.0) / (n + 1.0)
     b2 = 24.0 * n * (n - 2.0) * (n - 3.0) / ((n + 1.0) ** 2 * (n + 3.0) * (n + 5.0))
     sqrt_b3 = (
@@ -449,6 +455,11 @@ def _z_composed(name: str, inner: Transformation, params: ZTransformParams) -> T
         domain_guard=guard,
         n=params.n,
     )
+
+
+def min_sample_size(statistic: str) -> int:
+    """Smallest N for which the statistic's transformation is defined."""
+    return MIN_N.get(_Z_KINDS.get(statistic), 2)
 
 
 def get_transformation(name: str, n=None) -> Transformation:
@@ -578,13 +589,13 @@ def _require_n(n: int, minimum: int, what: str) -> None:
 
 def gaussian_se_g1(n: int) -> float:
     """Exact sd of the pointwise skewness estimator for Gaussian samples."""
-    _require_n(n, 4, "gaussian_se_g1")
+    _require_n(n, MIN_N["gaussian_null"], "gaussian_se_g1")
     return math.sqrt(6.0 * (n - 2.0) / ((n + 1.0) * (n + 3.0)))
 
 
 def gaussian_se_g2(n: int) -> float:
     """Exact sd of the pointwise excess-kurtosis estimator for Gaussian samples."""
-    _require_n(n, 4, "gaussian_se_g2")
+    _require_n(n, MIN_N["gaussian_null"], "gaussian_se_g2")
     return math.sqrt(
         24.0 * n * (n - 2.0) * (n - 3.0) / ((n + 1.0) ** 2 * (n + 3.0) * (n + 5.0))
     )
@@ -592,5 +603,23 @@ def gaussian_se_g2(n: int) -> float:
 
 def gaussian_bias_g2(n: int) -> float:
     """Exact mean of the pointwise excess-kurtosis estimator for Gaussian samples."""
-    _require_n(n, 4, "gaussian_bias_g2")
+    _require_n(n, MIN_N["gaussian_null"], "gaussian_bias_g2")
     return -6.0 / (n + 1.0)
+
+
+GAUSSIAN_NULL_STATISTICS = ("skewness", "kurtosis", "skewness_z", "kurtosis_z")
+
+
+def gaussian_null(statistic: str, n: int) -> tuple[float, float]:
+    """(sd, mean) of the pointwise estimator of a statistic for Gaussian samples.
+
+    Exact for skewness and excess kurtosis; the normalizing transforms make
+    skewness_z and kurtosis_z approximately standard normal.
+    """
+    if statistic == "skewness":
+        return gaussian_se_g1(n), 0.0
+    if statistic == "kurtosis":
+        return gaussian_se_g2(n), gaussian_bias_g2(n)
+    if statistic in ("skewness_z", "kurtosis_z"):
+        return 1.0, 0.0
+    raise NotAvailable(f"no Gaussian null for statistic {statistic!r}")

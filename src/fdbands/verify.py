@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .bessel import bessel_k
 from .errors import DomainGuardViolation, UnsupportedOrder
@@ -100,6 +99,8 @@ def bessel_k_quadrature(nu: float, x: float) -> float:
     The integrand is evaluated in log space so it neither overflows
     (cosh(nu t) for large nu t) nor triggers 0 * inf at the tail.
     """
+    from scipy import integrate  # deferred: keeps scipy out of `import fdbands`
+
     def integrand(t: float) -> float:
         expo = -x * math.cosh(t) + _log_cosh(nu * t)
         return math.exp(expo) if expo > -745.0 else 0.0

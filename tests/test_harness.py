@@ -77,8 +77,10 @@ def test_config_rejects_bad_values(line, error_bit):
 
 
 def test_config_kurtosis_z_minimum_n():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"^sample size 19 below the minimum 20 for kurtosis_z$"):
         ExperimentConfig(statistic="kurtosis_z", sample_sizes=(19,))
+    # The exact Gaussian null (n >= 4) is only required when it is used.
+    assert ExperimentConfig(statistic="skewness", sample_sizes=(3,)).sample_sizes == (3,)
 
 
 def test_config_model_c_rejects_exact_se():

@@ -1,0 +1,60 @@
+"""`import fdbands` must not load SciPy; only the Student-t tail and the
+quadrature oracle import parts of it, on first use.
+
+Each case runs in a fresh interpreter and counts modules, so nothing here
+depends on timing.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import fdbands
+
+_SRC = str(Path(fdbands.__file__).resolve().parents[1])
+
+_GKF_QUANTILE = """
+from fdbands import (
+    Grid, ModelSpec, StreamKey, delta_residuals, estimate_quantile, get_transformation, sample_model,
+)
+sample = sample_model(ModelSpec("A"), 30, Grid.equispaced(20), StreamKey(1))
+drs = delta_residuals(get_transformation("cohens_d"), sample)
+estimate_quantile(drs, "{method}", 0.05)
+"""
+
+
+def _scipy_modules_after(code: str) -> set[str]:
+    script = code + (
+        "\nimport json, sys\n"
+        "print(json.dumps([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([_SRC, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    return set(json.loads(done.stdout.splitlines()[-1]))
+
+
+def test_import_loads_no_scipy():
+    assert _scipy_modules_after("import fdbands") == set()
+    assert _scipy_modules_after("import fdbands.cli") == set()
+
+
+def test_gkf_quantile_loads_no_scipy():
+    assert _scipy_modules_after(_GKF_QUANTILE.format(method="gkf")) == set()
+
+
+def test_tgkf_quantile_loads_only_scipy_special():
+    loaded = _scipy_modules_after(_GKF_QUANTILE.format(method="tgkf"))
+    subpackages = {m.split(".")[1] for m in loaded if "." in m}
+    public = {name for name in subpackages if not name.startswith("_")} - {"version"}
+    assert public == {"special"}, sorted(loaded)
+
+
+def test_import_deferred_loads_scipy_special_for_tgkf_only():
+    prelude = "from fdbands.quantile import import_deferred\n"
+    assert _scipy_modules_after(prelude + "import_deferred(('gkf', 'mult'))") == set()
+    assert "scipy.special" in _scipy_modules_after(prelude + "import_deferred(('gkf', 'tgkf'))")

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
+from scipy.special import erfc
 from scipy.stats import t as student_t
 
 from fdbands import (
@@ -23,6 +25,7 @@ from fdbands import (
     hermite,
 )
 from fdbands.fdata import FunctionalSample
+from fdbands.quantile import _ec_terms
 from fdbands.simmodels import chol_psd
 from fdbands.transforms import DeltaResidualSet, delta_residuals, get_transformation
 
@@ -82,6 +85,31 @@ def test_ec_density_values():
         ec_density(2, 1.0)
 
 
+_FIELDS = (("gaussian", None), ("t", 2.0), ("t", 9.0), ("t", 399.0))
+
+
+def test_ec_density_accepts_arrays():
+    u = np.array([[0.0, 1.0], [2.5, 4.0]])
+    for kind, nu in _FIELDS:
+        for d in (0, 1):
+            got = ec_density(d, u, kind, nu)
+            assert got.shape == u.shape
+            want = [ec_density(d, float(x), kind, nu) for x in u.flat]
+            assert [float(v) for v in got.flat] == want
+    want = 0.5 * erfc(u / math.sqrt(2.0))
+    assert np.max(np.abs(ec_density(0, u) - want) / want) <= 1e-14
+
+
+def test_ec_density_derivatives_match_central_differences():
+    h = 1e-5
+    for kind, nu in _FIELDS:
+        for u in (1.0, 2.3, 4.1):
+            slopes = _ec_terms(u, kind, nu)[2:]
+            for d in (0, 1):
+                fd = (ec_density(d, u + h, kind, nu) - ec_density(d, u - h, kind, nu)) / (2.0 * h)
+                assert slopes[d] == pytest.approx(fd, rel=1e-6)
+
+
 # --------------------------------------------------------------------------
 # threshold equation
 # --------------------------------------------------------------------------
@@ -113,6 +141,31 @@ def test_gkf_t_field_exceeds_gaussian():
 def test_gkf_no_root_when_alpha_too_large():
     with pytest.raises(NoRoot):
         gkf_quantile(GkfConfig(l1=0.0), 0.4)
+
+
+def test_gkf_no_root_when_threshold_lies_beyond_the_bracket():
+    # The Cauchy tail at u = 50 still exceeds alpha / 2 = 0.001.
+    with pytest.raises(NoRoot, match="too small"):
+        gkf_quantile(GkfConfig(field_kind="t", nu=1.0, l1=0.0), 0.002)
+
+
+def test_gkf_root_matches_brentq():
+    for kind, nu in _FIELDS:
+        for l1 in (0.0, 0.7, 6.0, 60.0):
+            for alpha in (0.002, 0.05, 0.3):
+                def expansion(u):
+                    rho0, rho1 = ec_density(0, u, kind, nu), ec_density(1, u, kind, nu)
+                    return rho0 + l1 * rho1 - 0.5 * alpha
+
+                cfg = GkfConfig(field_kind=kind, nu=nu, l1=l1)
+                if expansion(1.0) < 0.0 or expansion(50.0) > 0.0:
+                    with pytest.raises(NoRoot):
+                        gkf_quantile(cfg, alpha)
+                    continue
+                want = brentq(expansion, 1.0, 50.0, xtol=1e-14, rtol=8.9e-16)
+                got = gkf_quantile(cfg, alpha)
+                assert got.q == pytest.approx(want, rel=1e-13, abs=0.0)
+                assert abs(got.diagnostics["residual"]) <= 1e-10
 
 
 def test_gkf_alpha_bounds():

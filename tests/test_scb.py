@@ -132,8 +132,10 @@ def test_gauss_test_statistic_and_se_mode_validation():
 def test_gauss_test_minimum_sample_sizes():
     with pytest.raises(SampleTooSmall):
         gauss_test(_model_sample("A", 6, 4), "skewness_z")
-    with pytest.raises(SampleTooSmall):
+    with pytest.raises(SampleTooSmall, match=r"^kurtosis_z test needs n >= 20, got 19$"):
         gauss_test(_model_sample("A", 19, 5), "kurtosis_z")
+    with pytest.raises(SampleTooSmall, match=r"^skewness test needs n >= 4, got 3$"):
+        gauss_test(_model_sample("A", 3, 5), "skewness", se_mode="estimated")
 
 
 def test_gauss_test_degenerate_sample_propagates_guard_violation():

@@ -8,12 +8,14 @@ from fdbands import (
     DomainGuardViolation,
     FunctionalSample,
     Grid,
+    NotAvailable,
     SampleTooSmall,
     bias_estimate,
     delta_residuals,
     evaluate,
     gaussian_bias_g2,
     gaussian_cohens_d_cov,
+    gaussian_null,
     gaussian_se_g1,
     gaussian_se_g2,
     get_transformation,
@@ -21,7 +23,7 @@ from fdbands import (
     se_estimate,
     z_params,
 )
-from fdbands.transforms import TRANSFORMATION_NAMES
+from fdbands.transforms import TRANSFORMATION_NAMES, min_sample_size
 from fdbands.verify import finite_diff_grad, finite_diff_jacobian
 
 GRID2 = Grid([0.0, 1.0])
@@ -251,6 +253,29 @@ def test_gaussian_null_constants():
     assert gaussian_se_g2(10**7) * math.sqrt(10**7) == pytest.approx(math.sqrt(24.0), rel=1e-5)
     with pytest.raises(SampleTooSmall):
         gaussian_se_g1(3)
+
+
+def test_gaussian_null_table():
+    n = 30
+    assert gaussian_null("skewness", n) == (gaussian_se_g1(n), 0.0)
+    assert gaussian_null("kurtosis", n) == (gaussian_se_g2(n), gaussian_bias_g2(n))
+    assert gaussian_null("skewness_z", n) == gaussian_null("kurtosis_z", n) == (1.0, 0.0)
+    with pytest.raises(NotAvailable):
+        gaussian_null("cohens_d", n)
+
+
+def test_minimum_sample_sizes_and_messages():
+    with pytest.raises(SampleTooSmall, match=r"^skewness transform needs n >= 8, got 7$"):
+        z_params("Z1", 7)
+    with pytest.raises(SampleTooSmall, match=r"^kurtosis transform needs n >= 20, got 19$"):
+        z_params("Z2", 19)
+    for fn in (gaussian_se_g1, gaussian_se_g2, gaussian_bias_g2):
+        with pytest.raises(SampleTooSmall, match=rf"^{fn.__name__} needs n >= 4, got 3$"):
+            fn(3)
+    assert {name: min_sample_size(name) for name in TRANSFORMATION_NAMES} == {
+        "mean": 2, "variance": 2, "cohens_d": 2, "skewness": 2, "kurtosis": 2,
+        "skewness_z": 8, "kurtosis_z": 20,
+    }
 
 
 # --------------------------------------------------------------------------
