@@ -151,7 +151,10 @@ def write_sample_csv(sample: FunctionalSample, path) -> None:
 def _parse_lines(path) -> tuple[Grid, list[list[float]]]:
     """Line-by-line parse that names the first offending line and cell."""
     with open(path, "r") as fh:
-        lines = [ln for ln in (raw.strip() for raw in fh) if ln]
+        try:
+            lines = [ln for ln in (raw.strip() for raw in fh) if ln]
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"sample CSV is not {exc.encoding} text: {exc.reason}") from None
     if len(lines) < 2:
         raise ShapeMismatch("sample CSV needs a grid line and at least one curve line")
     grid = Grid(_parse_row(lines[0], 1))

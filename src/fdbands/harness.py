@@ -41,8 +41,10 @@ from .simmodels import (
     ModelSpec,
     add_observation_noise,
     model_amplitude,
+    model_b_chol,
     model_c_noise_variance,
     model_mean,
+    prime_model_b_chol,
     sample_model,
 )
 from .transforms import (
@@ -315,6 +317,8 @@ def _build_context(payload: dict) -> dict:
     ctx = dict(payload)
     ctx["grid"] = grid
     ctx["spec"] = ModelSpec(payload["model"], bandwidth=payload["bandwidth"], jitter=payload["jitter"])
+    if "model_b_chol" in payload:
+        prime_model_b_chol(grid, payload["jitter"], payload["model_b_chol"])
     ctx["transformation"] = get_transformation(payload["statistic"], payload["n"])
     ctx["truth"] = Curve(grid, payload["truth_values"])
     if payload["se_mode"] == "gaussian_exact":
@@ -417,6 +421,9 @@ def _cell_payload(cfg: ExperimentConfig, n: int, force_zero_q: bool) -> dict:
         "truth_values": truth.values,
         "force_zero_q": force_zero_q,
     }
+    if cfg.model == "B":
+        # built once here, so pool workers never rebuild it
+        payload["model_b_chol"] = model_b_chol(grid, cfg.jitter)
     if cfg.se_mode == "gaussian_exact":
         payload["known_se_values"] = gaussian_exact_se(spec, cfg.statistic, grid, n).values
         payload["known_bias_values"] = gaussian_exact_bias(spec, cfg.statistic, grid, n).values

@@ -36,7 +36,9 @@ BOOTSTRAP_METHODS = ("mult", "rmult", "tmult", "rtmult")
 GKF_METHODS = ("gkf", "tgkf")
 QUANTILE_METHODS = BOOTSTRAP_METHODS + GKF_METHODS
 
-_BOOTSTRAP_CHUNK = 512  # multiplier rows per block; fixed so streams never depend on B
+# Multiplier rows per block.  Fixed, so streams never depend on B; even, so
+# only the last block of Rademacher signs can end inside a 64-bit word.
+_BOOTSTRAP_CHUNK = 512
 
 # GKF root: stop once a step moves q by at most xtol + rtol |q|.
 _ROOT_XTOL = 1e-14
@@ -50,7 +52,9 @@ class MultiplierConfig:
 
     kind selects the weight distribution (both standardized: mean 0,
     variance 1); studentize "t" divides each bootstrap curve by its own
-    sd curve instead of the pooled residual sd.
+    sd curve instead of the pooled residual sd.  The weights of key's
+    stream are drawn in blocks of 512 replicates, so the first replicates
+    do not depend on b; see bootstrap_quantile for the draws per block.
     """
 
     kind: str = "gaussian"
@@ -119,6 +123,45 @@ def check_gkf_alpha(alpha: float) -> None:
 # multiplier bootstrap
 # --------------------------------------------------------------------------
 
+def _plain_factor(residuals: np.ndarray, pooled_sd: np.ndarray, kind: str) -> np.ndarray:
+    """Matrix F with max |w @ F| the plain statistic of a weight vector w.
+
+    F is residual_n(s) / (sqrt(N) pooled_sd(s)), one row per weight.  For
+    Gaussian weights with N > T it is replaced by the T x T R-factor of its
+    QR decomposition: F = Q Rq with Q^T Q = I, so g @ F and z @ Rq with
+    z ~ N(0, I_T) share the law N(0, Rq^T Rq) = N(0, F^T F), and each
+    replicate needs T normal draws instead of N.
+    """
+    n, t = residuals.shape
+    factor = residuals / (math.sqrt(n) * pooled_sd)
+    if kind == "gaussian" and n > t:
+        factor = np.linalg.qr(factor, mode="r")
+    return factor
+
+
+def _multiplier_blocks(cfg: MultiplierConfig, dim: int):
+    """Yield cfg.b weight vectors of length dim in blocks of up to 512 rows.
+
+    Rademacher signs are 2 * integers(0, 2) - 1 of the key's Generator,
+    read straight from the raw words: for a range of 2 numpy's bounded
+    integers take bit 31 of successive 32-bit halves of each 64-bit Philox
+    word, low half first, and never reject.  Blocks hold an even number of
+    rows, so only the last one can end inside a word.
+    """
+    rng = cfg.key.generator()
+    for start in range(0, cfg.b, _BOOTSTRAP_CHUNK):
+        rows = min(_BOOTSTRAP_CHUNK, cfg.b - start)
+        if cfg.kind == "gaussian":
+            yield rng.standard_normal((rows, dim))
+            continue
+        count = rows * dim
+        raw = rng.bit_generator.random_raw((count + 1) // 2)
+        halves = raw.astype("<u8", copy=False).view("<u4")[:count]
+        # bit 31 set -> +1.0, clear -> -1.0, built as float32 bit patterns
+        signs = (halves & np.uint32(0x80000000)) ^ np.uint32(0xBF800000)
+        yield signs.view(np.float32).astype(float).reshape(rows, dim)
+
+
 def bootstrap_quantile(drs: DeltaResidualSet, cfg: MultiplierConfig, alpha: float) -> QuantileEstimate:
     """Empirical (1-alpha) quantile of the bootstrap max statistic.
 
@@ -128,37 +171,57 @@ def bootstrap_quantile(drs: DeltaResidualSet, cfg: MultiplierConfig, alpha: floa
     own weighted sd curve (t).  The quantile is the order statistic of rank
     ceil((1-alpha) B) -- deterministic given the StreamKey, conservative at
     finite B.
+
+    Plain Gaussian weights with N > T are drawn as T-dimensional normals
+    against the R-factor of the residual matrix (see _plain_factor): the
+    same conditional law from fewer draws.  Rademacher weights satisfy
+    g_n^2 = 1, so their t statistic uses the column sums of the squared
+    residuals instead of a product per block.
     """
     _check_alpha(alpha)
     residuals = drs.residuals
     n, t = residuals.shape
     if not np.any(residuals):
         raise DegenerateResiduals("all residual curves are identically zero")
-    pooled_sd = np.sqrt(np.mean(residuals * residuals, axis=0))
-    if cfg.studentize == "plain" and np.any(pooled_sd <= 0.0):
+    # Every statistic here is scale-free.  Scaling by a power of two so that
+    # max |residual| lies in [0.5, 1) is exact and keeps the squares finite
+    # and nonzero at extreme scales.
+    residuals = np.ldexp(residuals, -math.frexp(np.max(np.abs(residuals)))[1])
+    col_sq = np.sum(residuals * residuals, axis=0)
+    pooled_sd = np.sqrt(col_sq / n)
+    plain = cfg.studentize == "plain"
+    if plain and np.any(pooled_sd <= 0.0):
         raise ZeroSe("plain bootstrap needs positive residual sd at every grid point")
 
-    rng = cfg.key.generator()
-    sqrt_n = math.sqrt(n)
-    res_sq = residuals * residuals
+    if plain:
+        factor = _plain_factor(residuals, pooled_sd, cfg.kind)
+    else:
+        factor = residuals
+        if cfg.kind == "gaussian":
+            res_sq = residuals * residuals  # Rademacher g^2 = 1: (g * g) @ res_sq is col_sq
     maxima = np.empty(cfg.b)
     done = 0
-    while done < cfg.b:
-        rows = min(_BOOTSTRAP_CHUNK, cfg.b - done)
-        if cfg.kind == "gaussian":
-            g = rng.standard_normal((rows, n))
+    for g in _multiplier_blocks(cfg, factor.shape[0]):
+        m = g @ factor
+        rows = len(m)
+        if plain:
+            maxima[done : done + rows] = np.abs(m, out=m).max(axis=1)
         else:
-            g = 2.0 * rng.integers(0, 2, size=(rows, n)).astype(float) - 1.0
-        m = (g @ residuals) / sqrt_n
-        if cfg.studentize == "plain":
-            stats = np.abs(m) / pooled_sd
-        else:
-            s2 = np.maximum((g * g) @ res_sq - m * m, 0.0) / (n - 1)
-            s = np.sqrt(s2)
-            am = np.abs(m)
+            # stat^2 = (n - 1) m^2 / max(sum g^2 r^2 - m^2, 0).  A zero
+            # denominator gives inf where m != 0, and nan where m = 0, which
+            # fmax skips (stat 0).  That needs every g_n r_n = 0, which never
+            # happens in the column of the largest residual: no row is all nan.
+            m /= math.sqrt(n)
+            m2 = np.multiply(m, m, out=m)
+            if cfg.kind == "gaussian":
+                spread = (g * g) @ res_sq
+                spread -= m2
+            else:
+                spread = col_sq - m2
+            np.maximum(spread, 0.0, out=spread)
             with np.errstate(divide="ignore", invalid="ignore"):
-                stats = np.where(s > 0.0, am / s, np.where(am == 0.0, 0.0, np.inf))
-        maxima[done : done + rows] = stats.max(axis=1)
+                ratio = np.divide(m2, spread, out=spread)
+            maxima[done : done + rows] = np.sqrt((n - 1) * np.fmax.reduce(ratio, axis=1))
         done += rows
 
     rank = math.ceil((1.0 - alpha) * cfg.b)

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -167,14 +166,25 @@ def chol_psd(matrix: np.ndarray, jitter: float = 0.0) -> np.ndarray:
     )
 
 
-@lru_cache(maxsize=8)
-def _model_b_chol_cached(points_bytes: bytes, t: int, jitter: float) -> np.ndarray:
-    grid = Grid(np.frombuffer(points_bytes, dtype=float, count=t))
-    return chol_psd(model_b_corr_matrix(grid), jitter)
+# Model B factors by (grid bytes, jitter); at most 8, oldest dropped first.
+_MODEL_B_CHOLS: dict[tuple[bytes, float], np.ndarray] = {}
 
 
-def _model_b_chol(grid: Grid, jitter: float) -> np.ndarray:
-    return _model_b_chol_cached(grid.points.tobytes(), len(grid), jitter)
+def model_b_chol(grid: Grid, jitter: float) -> np.ndarray:
+    """Jittered Cholesky factor of the Model B correlation, built once per process."""
+    chol = _MODEL_B_CHOLS.get((grid.points.tobytes(), jitter))
+    if chol is None:
+        chol = chol_psd(model_b_corr_matrix(grid), jitter)
+        prime_model_b_chol(grid, jitter, chol)
+    return chol
+
+
+def prime_model_b_chol(grid: Grid, jitter: float, chol: np.ndarray) -> None:
+    """Cache a Model B factor built elsewhere (e.g. shipped to a worker)."""
+    key = (grid.points.tobytes(), jitter)
+    if key not in _MODEL_B_CHOLS and len(_MODEL_B_CHOLS) >= 8:
+        del _MODEL_B_CHOLS[next(iter(_MODEL_B_CHOLS))]
+    _MODEL_B_CHOLS[key] = chol
 
 
 # --------------------------------------------------------------------------
@@ -194,7 +204,7 @@ def sample_model(spec: ModelSpec, n: int, grid: Grid, key: StreamKey) -> Functio
         coefs = rng.standard_normal((n, khat.shape[0]))
         noise = coefs @ khat
     elif spec.kind == "B":
-        chol = _model_b_chol(grid, spec.jitter)
+        chol = model_b_chol(grid, spec.jitter)
         noise = rng.standard_normal((n, len(grid))) @ chol.T
     else:
         eta1 = rng.chisquare(1.0, size=(n, 1))

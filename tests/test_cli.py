@@ -97,6 +97,14 @@ def test_exit_code_two_on_runtime_failure(tmp_path):
     assert main(["quantile", "--in", str(bad), "--stat", "mean", "--method", "gkf"]) == 2
 
 
+def test_exit_code_two_on_undecodable_sample(tmp_path, capsys):
+    bad = tmp_path / "binary.csv"
+    bad.write_bytes(b"0,0.5,1\n1,2,3\n\xff\xfe")
+    assert main(["band", "--in", str(bad), "--stat", "mean", "--method", "mult",
+                 "--out", str(tmp_path / "b.csv")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()

@@ -177,3 +177,10 @@ def test_ragged_row_message_names_the_line(tmp_path):
     path.write_text("0,0.5,1\n")
     with pytest.raises(ShapeMismatch, match="needs a grid line and at least one curve line"):
         read_sample_csv(path)
+
+
+def test_undecodable_bytes_are_a_parse_error(tmp_path):
+    path = tmp_path / "s.csv"
+    path.write_bytes(b"0,0.5,1\n1,2,3\n\xff\xfe")
+    with pytest.raises(ParseError):
+        read_sample_csv(path)

@@ -1,5 +1,6 @@
 import _ctypes
 import math
+import os
 
 import numpy as np
 import pytest
@@ -14,11 +15,12 @@ from fdbands import (
     sample_model,
     truth_curve,
 )
-from fdbands import blas
+from fdbands import blas, simmodels
 from fdbands.blas import blas_thread_counts, set_blas_threads
 from fdbands.harness import (
     CoverageReport,
     ExperimentConfig,
+    _build_context,
     _cell_payload,
     _coverage_pool,
     available_cores,
@@ -259,6 +261,33 @@ def test_blas_helpers_are_noops_without_openblas(monkeypatch):
         assert blas_thread_counts() == ()
     finally:
         blas._openblas_functions.cache_clear()
+
+
+def test_model_b_factor_is_built_once_in_the_parent(tmp_path, monkeypatch):
+    builds = tmp_path / "builds.txt"
+    build = simmodels.model_b_corr_matrix
+
+    def recording_build(grid):
+        with open(builds, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return build(grid)
+
+    monkeypatch.setattr(simmodels, "model_b_corr_matrix", recording_build)
+    monkeypatch.setattr(simmodels, "_MODEL_B_CHOLS", {})
+    monkeypatch.setenv("FDBANDS_WORKERS", "2")
+    cfg = _tiny_config(model="B", statistic="cohens_d", methods=("gkf",), grid_size=13)
+    run_coverage(cfg)
+    assert builds.read_text().split() == [str(os.getpid())]
+
+    # a worker with an empty cache samples from the factor in its payload
+    payload = _cell_payload(cfg, 20, False)
+    monkeypatch.setattr(simmodels, "_MODEL_B_CHOLS", {})
+    monkeypatch.setattr(simmodels, "model_b_corr_matrix", None)  # any rebuild fails
+    ctx = _build_context(payload)
+    primed = sample_model(ctx["spec"], 20, ctx["grid"], StreamKey(4))
+    monkeypatch.setattr(simmodels, "model_b_corr_matrix", build)
+    monkeypatch.setattr(simmodels, "_MODEL_B_CHOLS", {})
+    assert np.array_equal(primed.values, sample_model(ctx["spec"], 20, ctx["grid"], StreamKey(4)).values)
 
 
 def test_mean_statistic_baseline_coverage():

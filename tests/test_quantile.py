@@ -1,4 +1,6 @@
 import math
+import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +27,8 @@ from fdbands import (
     hermite,
 )
 from fdbands.fdata import FunctionalSample
-from fdbands.quantile import _ec_terms
+from fdbands.quantile import _ec_terms, _multiplier_blocks, _plain_factor
+from fdbands.simmodels import ModelSpec, sample_model
 from fdbands.simmodels import chol_psd
 from fdbands.transforms import DeltaResidualSet, delta_residuals, get_transformation
 
@@ -234,6 +237,125 @@ def test_bootstrap_scale_invariance_and_sign_flip():
     assert flipped.q == base.q
 
 
+@pytest.mark.parametrize("method", ["mult", "rmult", "tmult", "rtmult"])
+def test_bootstrap_is_scale_free_at_extreme_scales(method):
+    rng = np.random.default_rng(14)
+    residuals = rng.standard_normal((30, 6))
+    residuals -= residuals.mean(axis=0)
+    drs = _drs_from_residuals(residuals)
+    base = estimate_quantile(drs, method, 0.05, b=300, key=StreamKey(6))
+    for scale in (2.0**-700, 2.0**700, 1e-200, 1e200):
+        scaled = replace(drs, residuals=scale * residuals, se=Curve(drs.grid, scale * drs.se.values))
+        got = estimate_quantile(scaled, method, 0.05, b=300, key=StreamKey(6))
+        assert got.q == pytest.approx(base.q, rel=1e-12)
+        if math.frexp(scale)[0] == 0.5:  # powers of two scale exactly
+            assert got.q == base.q
+
+
+def _reference_bootstrap(residuals, kind, studentize, b, key, alpha=0.05):
+    """The multiplier bootstrap written out: N weights per replicate and an
+    explicit (g * g) @ res_sq, in blocks of 512 rows of one stream."""
+    n, t = residuals.shape
+    rng = key.generator()
+    pooled_sd = np.sqrt(np.mean(residuals**2, axis=0))
+    maxima = []
+    for start in range(0, b, 512):
+        rows = min(512, b - start)
+        if kind == "gaussian":
+            g = rng.standard_normal((rows, n))
+        else:
+            g = 2.0 * rng.integers(0, 2, size=(rows, n)).astype(float) - 1.0
+        m = (g @ residuals) / math.sqrt(n)
+        if studentize == "plain":
+            stats = np.abs(m) / pooled_sd
+        else:
+            s = np.sqrt(np.maximum((g * g) @ residuals**2 - m * m, 0.0) / (n - 1))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                stats = np.where(s > 0.0, np.abs(m) / s, np.where(m == 0.0, 0.0, np.inf))
+        maxima.extend(stats.max(axis=1))
+    return float(np.sort(maxima)[math.ceil((1.0 - alpha) * b) - 1])
+
+
+@pytest.mark.parametrize("n,b", [(33, 777), (40, 1024), (7, 100), (200, 1000)])
+def test_multiplier_blocks_match_the_generator_calls(n, b):
+    # the raw-word Rademacher signs are numpy's 2 * integers(0, 2) - 1, bit for bit
+    key = StreamKey(8, 3, 2)
+    for kind in ("gaussian", "rademacher"):
+        rng = key.generator()
+        blocks = list(_multiplier_blocks(MultiplierConfig(kind=kind, b=b, key=key), n))
+        assert [len(g) for g in blocks] == [min(512, b - start) for start in range(0, b, 512)]
+        for g in blocks:
+            if kind == "gaussian":
+                want = rng.standard_normal(g.shape)
+            else:
+                want = 2.0 * rng.integers(0, 2, size=g.shape).astype(float) - 1.0
+            assert g.dtype == want.dtype
+            assert np.array_equal(g.view(np.uint64), want.view(np.uint64))
+
+
+def test_plain_factor_keeps_the_conditional_covariance():
+    rng = np.random.default_rng(12)
+    for n, t in ((60, 8), (8, 60), (60, 60)):
+        residuals = rng.standard_normal((n, t))
+        residuals -= residuals.mean(axis=0)
+        sd = np.sqrt(np.mean(residuals**2, axis=0))
+        scaled = residuals / (math.sqrt(n) * sd)
+        assert np.array_equal(_plain_factor(residuals, sd, "rademacher"), scaled)
+        factor = _plain_factor(residuals, sd, "gaussian")
+        if n <= t:
+            assert np.array_equal(factor, scaled)  # N-dimensional draws, stream unchanged
+            continue
+        assert factor.shape == (t, t)
+        want = scaled.T @ scaled
+        assert np.max(np.abs(factor.T @ factor - want)) <= 1e-12 * np.max(np.abs(want))
+    # rank-deficient residuals need no tolerance: repeated columns, N > T
+    residuals = np.repeat(rng.standard_normal((30, 3)), 4, axis=1)
+    sd = np.sqrt(np.mean(residuals**2, axis=0))
+    scaled = residuals / (math.sqrt(30) * sd)
+    factor = _plain_factor(residuals, sd, "gaussian")
+    assert np.max(np.abs(factor.T @ factor - scaled.T @ scaled)) <= 1e-12
+
+
+@pytest.mark.parametrize("n,t,b", [(33, 50, 777), (40, 6, 1000), (200, 100, 600)])
+def test_bootstrap_matches_the_written_out_reference(n, t, b):
+    sample = sample_model(ModelSpec("A"), n, Grid.equispaced(t), StreamKey(21))
+    drs = delta_residuals(get_transformation("cohens_d"), sample)
+    key = StreamKey(21, 0, 2)
+    methods = {"rmult": ("rademacher", "plain"), "tmult": ("gaussian", "t"), "rtmult": ("rademacher", "t")}
+    if n <= t:
+        methods["mult"] = ("gaussian", "plain")
+    for method, (kind, studentize) in methods.items():
+        got = estimate_quantile(drs, method, 0.05, b=b, key=key).q
+        want = _reference_bootstrap(drs.residuals, kind, studentize, b, key)
+        assert got == pytest.approx(want, rel=1e-12), method
+
+
+def test_r_factor_mult_has_the_law_of_n_dimensional_weights():
+    sample = sample_model(ModelSpec("A"), 200, Grid.equispaced(100), StreamKey(22))
+    drs = delta_residuals(get_transformation("cohens_d"), sample)
+    for alpha in (0.05, 0.2):
+        got = estimate_quantile(drs, "mult", alpha, b=20000, key=StreamKey(22, 0, 2)).q
+        want = _reference_bootstrap(drs.residuals, "gaussian", "plain", 20000, StreamKey(22, 0, 3), alpha)
+        assert got == pytest.approx(want, rel=0.01)
+
+
+def test_t_bootstrap_zero_sd_rules():
+    # Rademacher weights on four equal residuals: when all four signs agree
+    # (1 in 8) s = 0 and m = +-2, giving inf; otherwise m is 0 (stat 0) or
+    # +-1 (stat 1).  The all-zero column has s = 0 and m = 0 (stat 0).
+    drs = _drs_from_residuals([[1.0, 0.0]] * 4)
+    cfg = MultiplierConfig(kind="rademacher", studentize="t", key=StreamKey(3))
+    got = bootstrap_quantile(drs, cfg, 0.05)
+    assert got.q == math.inf
+    assert got.diagnostics["max_min"] == 0.0
+    assert bootstrap_quantile(drs, cfg, 0.6).q == 1.0
+    for alpha in (0.05, 0.9):
+        for kind in ("gaussian", "rademacher"):
+            cfg = MultiplierConfig(kind=kind, studentize="t", key=StreamKey(3))
+            want = _reference_bootstrap(drs.residuals, kind, "t", 1000, StreamKey(3), alpha)
+            assert bootstrap_quantile(drs, cfg, alpha).q == pytest.approx(want, rel=1e-12)
+
+
 def test_bootstrap_quantile_monotone_in_alpha():
     rng = np.random.default_rng(5)
     residuals = rng.standard_normal((30, 4))
@@ -306,3 +428,38 @@ def test_tgkf_dispatch_uses_heavier_tails():
     assert qt.method == "tgkf" and qg.method == "gkf"
     assert qt.q > qg.q
     assert qt.config["nu"] == 19.0
+
+
+# --------------------------------------------------------------------------
+# per-replicate cost guard
+# --------------------------------------------------------------------------
+
+# Four-method bootstrap time over the time of one B x N normal draw on the
+# boot_a cell: 4.5-5.6 on a 2-vCPU x86-64 VM (numpy 2.4, OpenBLAS, 2 threads).
+_BOOT_A_COST_RATIO = 5.0
+
+
+def _best_of(fn, repeats=5):
+    times = []
+    for _ in range(repeats):
+        started = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - started)
+    return min(times)
+
+
+@pytest.mark.slow
+def test_bootstrap_cost_per_replicate_guard():
+    # boot_a cell: Model A, cohens_d, N = 200, T = 100, B = 1000.  Timing a
+    # reference primitive in the same process makes the bound machine-free.
+    sample = sample_model(ModelSpec("A"), 200, Grid.equispaced(100), StreamKey(23))
+    drs = delta_residuals(get_transformation("cohens_d"), sample)
+    key = StreamKey(23, 0, 2)
+
+    def bootstrap():
+        for method in ("mult", "rmult", "tmult", "rtmult"):
+            estimate_quantile(drs, method, 0.05, b=1000, key=key)
+
+    boot = _best_of(bootstrap)
+    draw = _best_of(lambda: key.generator().standard_normal((1000, 200)))
+    assert boot / draw <= 2.0 * _BOOT_A_COST_RATIO, f"{boot * 1e3:.1f} ms vs {draw * 1e3:.2f} ms"
