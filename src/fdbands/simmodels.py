@@ -123,26 +123,33 @@ def model_a_cov(grid: Grid, bandwidth: float = MODEL_A_BANDWIDTH) -> np.ndarray:
 # Model B correlation
 # --------------------------------------------------------------------------
 
+def _model_b_corr_pairs(s: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Model B correlation at coordinate pairs with s != t, element-wise."""
+    from scipy.special import gamma  # deferred: keeps scipy out of `import fdbands`
+
+    nu = 1.0 - 0.75 * np.sqrt(np.maximum(s, t))
+    z = np.sqrt(2.0 * nu) * np.abs(t - s)
+    return 2.0 ** (1.0 - nu) / gamma(nu) * z**nu * bessel_k(nu, z)
+
+
 def model_b_corr(s: float, t: float) -> float:
     """Correlation of the Model B noise at coordinates s, t in [0, 1].
 
     Matern form with order nu(s, t) = 1 - 3 sqrt(max(s, t)) / 4; the value
-    at s = t is the continuous limit 1.
+    at s = t is the continuous limit 1.  Shares its kernel with
+    model_b_corr_matrix, so both give the same bits.
     """
     if s == t:
         return 1.0
-    nu = 1.0 - 0.75 * math.sqrt(max(s, t))
-    z = math.sqrt(2.0 * nu) * abs(t - s)
-    return 2.0 ** (1.0 - nu) / math.gamma(nu) * z**nu * bessel_k(nu, z)
+    return float(_model_b_corr_pairs(np.array([s], dtype=float), np.array([t], dtype=float))[0])
 
 
 def model_b_corr_matrix(grid: Grid) -> np.ndarray:
+    """Unit-diagonal Model B correlation on the grid, built in one array pass."""
     s = grid.points
-    t = len(grid)
-    corr = np.eye(t)
-    for i in range(t):
-        for j in range(i + 1, t):
-            corr[i, j] = corr[j, i] = model_b_corr(s[i], s[j])
+    i, j = np.triu_indices(len(grid), k=1)
+    corr = np.eye(len(grid))
+    corr[i, j] = corr[j, i] = _model_b_corr_pairs(s[i], s[j])
     return corr
 
 

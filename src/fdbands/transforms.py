@@ -521,21 +521,24 @@ def delta_residuals(t: Transformation, sample: FunctionalSample) -> DeltaResidua
     res = moment_residuals(sample, t.orders)
     residuals = np.einsum("kt,knt->nt", grad, res.values)
     estimate = t.value(est_m.values)
-    se = np.sqrt(np.mean(residuals * residuals, axis=0)) / math.sqrt(sample.n)
     return DeltaResidualSet(
         grid=sample.grid,
         residuals=residuals,
         estimate=Curve(sample.grid, estimate),
-        se=Curve(sample.grid, se),
+        se=Curve(sample.grid, _plugin_se(residuals, sample.n)),
         transformation=t.name,
         n=sample.n,
     )
 
 
+def _plugin_se(residuals: np.ndarray, n: int) -> np.ndarray:
+    """sqrt(N^-1 sum_n residual_n(s)^2) / sqrt(N) at every grid point."""
+    return np.sqrt(np.mean(residuals * residuals, axis=0)) / math.sqrt(n)
+
+
 def se_estimate(drs: DeltaResidualSet) -> Curve:
     """Standard error of the estimate curve from the residual spread."""
-    r = drs.residuals
-    return Curve(drs.grid, np.sqrt(np.mean(r * r, axis=0)) / math.sqrt(drs.n))
+    return Curve(drs.grid, _plugin_se(drs.residuals, drs.n))
 
 
 def bias_estimate(t: Transformation, sample: FunctionalSample) -> Curve:

@@ -60,3 +60,33 @@ def test_domain_errors():
         bessel_k(0.0, 1.0)
     with pytest.raises(DomainError):
         bessel_k(50.5, 1.0)
+
+
+def test_array_call_equals_scalar_calls():
+    nus = np.array([0.05, 0.25, 0.999, 1.0, 3.3, 12.5, 50.0])
+    xs = np.array([1e-4, 0.02, 0.9, 2.0, 2.1, 11.0, 30.0])
+    got = bessel_k(nus[:, None], xs[None, :])
+    assert got.shape == (7, 7)
+    want = [[bessel_k(float(nu), float(x)) for x in xs] for nu in nus]
+    assert np.array_equal(got, want)
+    assert np.array_equal(bessel_k(0.7, xs), [bessel_k(0.7, float(x)) for x in xs])
+
+
+def test_scalar_call_returns_a_python_float():
+    assert type(bessel_k(0.7, 0.3)) is float
+    assert type(bessel_k(np.float64(0.7), np.float64(0.3))) is float
+
+
+@pytest.mark.parametrize(
+    "nu, x, message",
+    [
+        (0.5, [1.0, 0.0, 2.0], "x > 0, got 0.0"),
+        (0.5, [1.0, math.inf], "x > 0, got inf"),
+        (0.5, [1.0, math.nan], "x > 0, got nan"),
+        ([0.5, 0.0], 1.0, "0 < nu <= 50.0, got 0.0"),
+        ([[0.5], [50.5]], [1.0, 2.0], "0 < nu <= 50.0, got 50.5"),
+    ],
+)
+def test_domain_errors_for_any_bad_element(nu, x, message):
+    with pytest.raises(DomainError, match=message):
+        bessel_k(np.array(nu), np.array(x))

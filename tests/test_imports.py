@@ -1,5 +1,5 @@
-"""`import fdbands` must not load SciPy; only the Student-t tail and the
-quadrature oracle import parts of it, on first use.
+"""`import fdbands` must not load SciPy; only the Student-t tail, the Model B
+correlation and the quadrature oracle import parts of it, on first use.
 
 Each case runs in a fresh interpreter and counts modules, so nothing here
 depends on timing.
@@ -25,6 +25,17 @@ estimate_quantile(drs, "{method}", 0.05)
 """
 
 
+_SAMPLE = """
+from fdbands import Grid, ModelSpec, StreamKey, sample_model
+sample_model(ModelSpec("{kind}"), 5, Grid.equispaced(20), StreamKey(1))
+"""
+
+
+def _public_subpackages(loaded: set[str]) -> set[str]:
+    subpackages = {m.split(".")[1] for m in loaded if "." in m}
+    return {name for name in subpackages if not name.startswith("_")} - {"version"}
+
+
 def _scipy_modules_after(code: str) -> set[str]:
     script = code + (
         "\nimport json, sys\n"
@@ -41,6 +52,7 @@ def _scipy_modules_after(code: str) -> set[str]:
 def test_import_loads_no_scipy():
     assert _scipy_modules_after("import fdbands") == set()
     assert _scipy_modules_after("import fdbands.cli") == set()
+    assert _scipy_modules_after("from fdbands.bessel import bessel_k") == set()
 
 
 def test_gkf_quantile_loads_no_scipy():
@@ -49,9 +61,16 @@ def test_gkf_quantile_loads_no_scipy():
 
 def test_tgkf_quantile_loads_only_scipy_special():
     loaded = _scipy_modules_after(_GKF_QUANTILE.format(method="tgkf"))
-    subpackages = {m.split(".")[1] for m in loaded if "." in m}
-    public = {name for name in subpackages if not name.startswith("_")} - {"version"}
-    assert public == {"special"}, sorted(loaded)
+    assert _public_subpackages(loaded) == {"special"}, sorted(loaded)
+
+
+def test_model_b_sampling_loads_only_scipy_special():
+    loaded = _scipy_modules_after(_SAMPLE.format(kind="B"))
+    assert _public_subpackages(loaded) == {"special"}, sorted(loaded)
+
+
+def test_model_a_sampling_loads_no_scipy():
+    assert _scipy_modules_after(_SAMPLE.format(kind="A")) == set()
 
 
 def test_import_deferred_loads_scipy_special_for_tgkf_only():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,9 @@ from fdbands import (
     model_mean,
     sample_model,
 )
+from fdbands import simmodels
 from fdbands.simmodels import model_a_cov, model_a_kernels, model_c_noise_variance
+from fdbands.verify import bessel_k_quadrature
 
 # Frozen reference correlations from the quadrature Bessel oracle plugged
 # into the Matern-type covariance (see verify.bessel_k_quadrature).
@@ -70,6 +74,37 @@ def test_corr_matrix_factorizes_with_small_jitter_up_to_256():
     chol = chol_psd(corr)
     # reconstruction within 1e-8 implies the jitter ladder stopped <= 1e-8
     assert np.max(np.abs(chol @ chol.T - corr)) <= 2e-8
+
+
+# uneven on purpose: spacing grows from 1/1296 near 0 to about 1/18 near 1
+UNEVEN_37 = Grid(np.linspace(0.0, 1.0, 37) ** 2)
+
+
+def test_corr_matrix_equals_scalar_corr_bit_for_bit():
+    s = UNEVEN_37.points
+    corr = model_b_corr_matrix(UNEVEN_37)
+    scalar = np.array([[model_b_corr(float(a), float(b)) for b in s] for a in s])
+    assert np.array_equal(corr, scalar)
+
+
+def test_corr_matrix_never_calls_the_scalar_corr(monkeypatch):
+    def scalar_corr(s, t):
+        raise AssertionError("model_b_corr_matrix called model_b_corr")
+
+    want = model_b_corr_matrix(UNEVEN_37)
+    monkeypatch.setattr(simmodels, "model_b_corr", scalar_corr)
+    assert np.array_equal(simmodels.model_b_corr_matrix(UNEVEN_37), want)
+
+
+def test_corr_matrix_against_quadrature_oracle():
+    s = UNEVEN_37.points
+    corr = model_b_corr_matrix(UNEVEN_37)
+    for i, j in [(0, 1), (0, 36), (1, 36), (3, 20), (5, 30), (10, 11), (17, 18), (35, 36)]:
+        nu = 1.0 - 0.75 * math.sqrt(s[j])
+        z = math.sqrt(2.0 * nu) * (s[j] - s[i])
+        want = 2.0 ** (1.0 - nu) / math.gamma(nu) * z**nu * bessel_k_quadrature(nu, z)
+        assert abs(corr[i, j] - want) <= 1e-12 * want
+        assert corr[j, i] == corr[i, j]
 
 
 # --------------------------------------------------------------------------

@@ -138,10 +138,18 @@ def test_se_hand_value_and_homogeneity():
     drs = delta_residuals(get_transformation("mean"), S123)
     # residuals {-1, 0, 1}: sqrt(2/3)/sqrt(3)
     assert drs.se.values[0] == pytest.approx(math.sqrt(2.0 / 3.0) / math.sqrt(3.0), rel=1e-14)
-    assert se_estimate(drs).values == pytest.approx(drs.se.values, rel=1e-15)
+    assert np.array_equal(se_estimate(drs).values, drs.se.values)
 
     scaled = delta_residuals(get_transformation("mean"), _sample([3.0, 6.0, 9.0]))
     assert scaled.se.values == pytest.approx(3.0 * drs.se.values, rel=1e-13)
+
+
+@pytest.mark.parametrize("name", ["mean", "cohens_d", "kurtosis_z"])
+def test_se_estimate_equals_residual_set_se_exactly(name):
+    rng = np.random.default_rng(29)
+    sample = FunctionalSample(Grid(np.linspace(0, 1, 9)), rng.standard_normal((41, 9)) + 2.0)
+    drs = delta_residuals(get_transformation(name, n=41), sample)
+    assert np.array_equal(se_estimate(drs).values, drs.se.values)
 
 
 def test_se_zero_for_degenerate_mean_residuals():
