@@ -20,7 +20,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -28,8 +28,10 @@ from .blas import set_blas_threads
 from .errors import ConfigError, DomainGuardViolation, NotAvailable
 from .fdata import Curve, FunctionalSample, Grid
 from .quantile import (
+    BOOTSTRAP_METHODS,
     GKF_METHODS,
     QUANTILE_METHODS,
+    check_bootstrap_b,
     check_gkf_alpha,
     estimate_quantile,
     import_deferred,
@@ -50,6 +52,7 @@ from .simmodels import (
 from .transforms import (
     GAUSSIAN_NULL_STATISTICS,
     TRANSFORMATION_NAMES,
+    Transformation,
     bias_estimate,
     delta_residuals,
     gaussian_null,
@@ -63,13 +66,6 @@ WORKERS_ENV_VAR = "FDBANDS_WORKERS"
 # --------------------------------------------------------------------------
 # experiment configuration
 # --------------------------------------------------------------------------
-
-_CONFIG_KEYS = {
-    "model", "statistic", "methods", "se_mode", "bias_correction",
-    "sample_sizes", "grid_size", "replicates", "bootstrap_b", "alpha",
-    "seed", "noise_sigma", "output", "workers", "bandwidth", "jitter",
-}
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -113,8 +109,12 @@ class ExperimentConfig:
             raise ConfigError(f"alpha must be in (0, 1), got {self.alpha}")
         if any(m in GKF_METHODS for m in self.methods):
             check_gkf_alpha(self.alpha)
+        if any(m in BOOTSTRAP_METHODS for m in self.methods):
+            check_bootstrap_b(self.bootstrap_b)
         if self.grid_size < 3:
             raise ConfigError("grid_size must be >= 3")
+        if not self.sample_sizes:
+            raise ConfigError("need at least one sample size")
         minimum = min_sample_size(self.statistic)
         for n in self.sample_sizes:
             if n < minimum:
@@ -123,6 +123,7 @@ class ExperimentConfig:
             raise ConfigError("noise_sigma must be nonnegative")
         if self.workers < 0:
             raise ConfigError("workers must be >= 0")
+        ModelSpec(self.model, bandwidth=self.bandwidth, jitter=self.jitter)
 
     @classmethod
     def from_text(cls, text: str) -> "ExperimentConfig":
@@ -156,35 +157,22 @@ class ExperimentConfig:
                 return False
             raise ConfigError(f"cannot parse boolean {s!r}")
 
-        def parse_list(s, conv):
-            return tuple(conv(part.strip()) for part in s.split(",") if part.strip())
+        def parse_list(conv):
+            return lambda s: tuple(conv(part.strip()) for part in s.split(",") if part.strip())
 
-        kwargs = {}
+        parsers = {f.name: type(f.default) for f in fields(cls)}  # int and float keys
+        parsers.update(
+            model=str.upper, statistic=str.lower, methods=parse_list(str.lower),
+            se_mode=str.lower, bias_correction=parse_bool, sample_sizes=parse_list(int), output=str,
+        )
         try:
-            if "model" in values:
-                kwargs["model"] = values["model"].upper()
-            if "statistic" in values:
-                kwargs["statistic"] = values["statistic"].lower()
-            if "methods" in values:
-                kwargs["methods"] = parse_list(values["methods"], str.lower)
-            if "se_mode" in values:
-                kwargs["se_mode"] = values["se_mode"].lower()
-            if "bias_correction" in values:
-                kwargs["bias_correction"] = parse_bool(values["bias_correction"])
-            if "sample_sizes" in values:
-                kwargs["sample_sizes"] = parse_list(values["sample_sizes"], int)
-            for key, conv in (
-                ("grid_size", int), ("replicates", int), ("bootstrap_b", int),
-                ("alpha", float), ("seed", int), ("noise_sigma", float),
-                ("workers", int), ("bandwidth", float), ("jitter", float),
-            ):
-                if key in values:
-                    kwargs[key] = conv(values[key])
-            if "output" in values:
-                kwargs["output"] = values["output"]
+            kwargs = {key: parsers[key](val) for key, val in values.items()}
         except ValueError as exc:
             raise ConfigError(f"bad config value: {exc}") from None
         return cls(**kwargs)
+
+
+_CONFIG_KEYS = frozenset(f.name for f in fields(ExperimentConfig))
 
 
 # --------------------------------------------------------------------------
@@ -309,61 +297,74 @@ class CoverageReport:
 # replicate execution (worker side)
 # --------------------------------------------------------------------------
 
-_CTX: dict | None = None
+@dataclass(frozen=True)
+class _Cell:
+    """What every replicate of one sample size shares."""
+
+    n: int
+    grid: Grid
+    spec: ModelSpec
+    transformation: Transformation
+    truth: Curve
+    known_se: Curve | None  # the exact se and bias, set only for se_mode gaussian_exact
+    known_bias: Curve | None
 
 
-def _build_context(payload: dict) -> dict:
-    grid = Grid(payload["grid_points"])
-    ctx = dict(payload)
-    ctx["grid"] = grid
-    ctx["spec"] = ModelSpec(payload["model"], bandwidth=payload["bandwidth"], jitter=payload["jitter"])
-    if "model_b_chol" in payload:
-        prime_model_b_chol(grid, payload["jitter"], payload["model_b_chol"])
-    ctx["transformation"] = get_transformation(payload["statistic"], payload["n"])
-    ctx["truth"] = Curve(grid, payload["truth_values"])
-    if payload["se_mode"] == "gaussian_exact":
-        ctx["known_se"] = Curve(grid, payload["known_se_values"])
-        ctx["known_bias"] = Curve(grid, payload["known_bias_values"])
-    return ctx
+def _cells(cfg: ExperimentConfig) -> tuple[_Cell, ...]:
+    """One cell per sample size, in config order."""
+    grid = Grid.equispaced(cfg.grid_size)
+    spec = ModelSpec(cfg.model, bandwidth=cfg.bandwidth, jitter=cfg.jitter)
+    truth = truth_curve(spec, cfg.statistic, grid)
+    exact = cfg.se_mode == "gaussian_exact"
+    return tuple(
+        _Cell(
+            n, grid, spec, get_transformation(cfg.statistic, n), truth,
+            gaussian_exact_se(spec, cfg.statistic, grid, n) if exact else None,
+            gaussian_exact_bias(spec, cfg.statistic, grid, n) if exact else None,
+        )
+        for n in cfg.sample_sizes
+    )
 
 
-def _init_worker(payload: dict) -> None:
-    global _CTX
-    _CTX = _build_context(payload)
-
-
-def _init_pool_worker(payload: dict, blas_threads: int) -> None:
-    set_blas_threads(blas_threads)
-    _init_worker(payload)
-
-
-def _replicate(rep: int):
+def _replicate(cfg: ExperimentConfig, cell: _Cell, rep: int):
     """Run one replicate; returns (covered per method) or None on a guard trip."""
-    ctx = _CTX
-    seed = ctx["seed"]
-    sample = sample_model(ctx["spec"], ctx["n"], ctx["grid"], StreamKey(seed, rep, 0))
-    if ctx["noise_sigma"] > 0.0:
-        sample = add_observation_noise(sample, ctx["noise_sigma"], StreamKey(seed, rep, 1))
+    sample = sample_model(cell.spec, cell.n, cell.grid, StreamKey(cfg.seed, rep, 0))
+    if cfg.noise_sigma > 0.0:
+        sample = add_observation_noise(sample, cfg.noise_sigma, StreamKey(cfg.seed, rep, 1))
     try:
-        drs = delta_residuals(ctx["transformation"], sample)
-        if ctx["se_mode"] == "gaussian_exact":
-            se = ctx["known_se"]
-            bias = ctx["known_bias"]
-        else:
-            se = drs.se
-            bias = bias_estimate(ctx["transformation"], sample) if ctx["bias_correction"] else None
+        drs = delta_residuals(cell.transformation, sample)
+        se = drs.se if cell.known_se is None else cell.known_se
+        # only gaussian_exact has a known bias, and it rules out bias_correction
+        bias = bias_estimate(cell.transformation, sample) if cfg.bias_correction else cell.known_bias
         flags = []
-        for i, method in enumerate(ctx["methods"]):
+        for i, method in enumerate(cfg.methods):
             q = estimate_quantile(
-                drs, method, ctx["alpha"], b=ctx["bootstrap_b"], key=StreamKey(seed, rep, 2 + i)
+                drs, method, cfg.alpha, b=cfg.bootstrap_b, key=StreamKey(cfg.seed, rep, 2 + i)
             )
-            if ctx["force_zero_q"]:  # debug hook: degenerate bands
-                q = replace(q, q=0.0)
-            band = construct_scb(drs.estimate, se, q, bias=bias, se_mode=ctx["se_mode"])
-            flags.append(covers(band, ctx["truth"]))
+            band = construct_scb(drs.estimate, se, q, bias=bias, se_mode=cfg.se_mode)
+            flags.append(covers(band, cell.truth))
         return tuple(flags)
     except DomainGuardViolation:
         return None
+
+
+# A pool worker's config and cells, set once by its initializer.
+_CFG: ExperimentConfig | None = None
+_CELLS: tuple[_Cell, ...] = ()
+
+
+def _init_worker(cfg: ExperimentConfig, model_b_factor, blas_threads: int) -> None:
+    global _CFG, _CELLS
+    set_blas_threads(blas_threads)
+    # cells hold closures, so each worker rebuilds them instead of unpickling
+    _CFG, _CELLS = cfg, _cells(cfg)
+    if model_b_factor is not None:
+        prime_model_b_chol(_CELLS[0].grid, cfg.jitter, model_b_factor)
+
+
+def _pool_replicate(task: tuple[int, int]):
+    cell_index, rep = task
+    return _replicate(_CFG, _CELLS[cell_index], rep)
 
 
 # --------------------------------------------------------------------------
@@ -390,69 +391,44 @@ def available_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _coverage_pool(workers: int, payload: dict) -> ProcessPoolExecutor:
-    """Worker pool that shares the cores: each worker gets cores // workers BLAS threads."""
-    import_deferred(payload["methods"])
+def _coverage_pool(cfg: ExperimentConfig, workers: int) -> ProcessPoolExecutor:
+    """Worker pool that shares the cores: each worker gets cores // workers BLAS threads.
+
+    The Model B factor is built here, once, and shipped to every worker.
+    """
+    import_deferred(cfg.methods)
+    factor = model_b_chol(Grid.equispaced(cfg.grid_size), cfg.jitter) if cfg.model == "B" else None
     return ProcessPoolExecutor(
         max_workers=workers,
-        initializer=_init_pool_worker,
-        initargs=(payload, max(1, available_cores() // workers)),
+        initializer=_init_worker,
+        initargs=(cfg, factor, max(1, available_cores() // workers)),
     )
 
 
-def _cell_payload(cfg: ExperimentConfig, n: int, force_zero_q: bool) -> dict:
-    grid = Grid.equispaced(cfg.grid_size)
-    spec = ModelSpec(cfg.model, bandwidth=cfg.bandwidth, jitter=cfg.jitter)
-    truth = truth_curve(spec, cfg.statistic, grid)
-    payload = {
-        "model": cfg.model,
-        "bandwidth": cfg.bandwidth,
-        "jitter": cfg.jitter,
-        "statistic": cfg.statistic,
-        "se_mode": cfg.se_mode,
-        "bias_correction": cfg.bias_correction,
-        "methods": cfg.methods,
-        "alpha": cfg.alpha,
-        "bootstrap_b": cfg.bootstrap_b,
-        "seed": cfg.seed,
-        "noise_sigma": cfg.noise_sigma,
-        "n": n,
-        "grid_points": grid.points,
-        "truth_values": truth.values,
-        "force_zero_q": force_zero_q,
-    }
-    if cfg.model == "B":
-        # built once here, so pool workers never rebuild it
-        payload["model_b_chol"] = model_b_chol(grid, cfg.jitter)
-    if cfg.se_mode == "gaussian_exact":
-        payload["known_se_values"] = gaussian_exact_se(spec, cfg.statistic, grid, n).values
-        payload["known_bias_values"] = gaussian_exact_bias(spec, cfg.statistic, grid, n).values
-    return payload
-
-
-def run_coverage(cfg: ExperimentConfig, force_zero_q: bool = False) -> CoverageReport:
+def run_coverage(cfg: ExperimentConfig) -> CoverageReport:
     """Run the full experiment; write the CSV if cfg.output is set.
 
-    force_zero_q is a debug hook that collapses every band to its center
-    curve (coverage must then be zero).
+    All sample sizes share one worker pool; its tasks are (cell, replicate)
+    pairs in order, so results come back grouped by cell.
     """
     workers = resolve_workers(cfg.workers)
     started = time.monotonic()
+    cells = _cells(cfg)  # here first, so a bad cell raises before any worker starts
+    reps = cfg.replicates
+    tasks = [(i, rep) for i in range(len(cells)) for rep in range(reps)]
+    if workers == 1:
+        results = [_replicate(cfg, cells[i], rep) for i, rep in tasks]
+    else:
+        chunk = max(1, reps // (8 * workers))
+        with _coverage_pool(cfg, workers) as pool:
+            results = list(pool.map(_pool_replicate, tasks, chunksize=chunk))
     rows = []
-    for n in cfg.sample_sizes:
-        payload = _cell_payload(cfg, n, force_zero_q)
-        reps = cfg.replicates
-        if workers == 1:
-            _init_worker(payload)
-            results = [_replicate(r) for r in range(reps)]
-        else:
-            chunk = max(1, reps // (8 * workers))
-            with _coverage_pool(workers, payload) as pool:
-                results = list(pool.map(_replicate, range(reps), chunksize=chunk))
-        violations = sum(1 for r in results if r is None)
+    for c, cell in enumerate(cells):
+        cell_results = results[c * reps:(c + 1) * reps]
+        violations = sum(1 for r in cell_results if r is None)
         successes = reps - violations
         for i, method in enumerate(cfg.methods):
-            hits = sum(1 for r in results if r is not None and r[i])
+            hits = sum(1 for r in cell_results if r is not None and r[i])
             coverage = hits / successes if successes else float("nan")
             mc_se = (
                 math.sqrt(coverage * (1.0 - coverage) / successes) if successes else float("nan")
@@ -464,7 +440,7 @@ def run_coverage(cfg: ExperimentConfig, force_zero_q: bool = False) -> CoverageR
                     method=method,
                     se_mode=cfg.se_mode,
                     bias_correction=cfg.bias_correction,
-                    n=n,
+                    n=cell.n,
                     t=cfg.grid_size,
                     replicates=reps,
                     successes=successes,

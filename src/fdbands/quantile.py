@@ -67,8 +67,7 @@ class MultiplierConfig:
             raise ConfigError(f"multiplier kind must be gaussian|rademacher, got {self.kind!r}")
         if self.studentize not in ("plain", "t"):
             raise ConfigError(f"studentize must be plain|t, got {self.studentize!r}")
-        if self.b < 100:
-            raise ConfigError(f"need at least 100 bootstrap replicates, got {self.b}")
+        check_bootstrap_b(self.b)
 
     @property
     def method_name(self) -> str:
@@ -111,6 +110,12 @@ class QuantileEstimate:
 def _check_alpha(alpha: float) -> None:
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
+
+
+def check_bootstrap_b(b: int) -> None:
+    """The multiplier bootstrap needs at least 100 replicates."""
+    if b < 100:
+        raise ConfigError(f"need at least 100 bootstrap replicates, got {b}")
 
 
 def check_gkf_alpha(alpha: float) -> None:

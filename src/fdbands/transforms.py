@@ -306,87 +306,78 @@ Z2_LIMIT_RATE = 0.75
 
 
 @dataclass(frozen=True)
-class ZTransformParams:
-    """Sample-size dependent constants of the normalizing transforms.
+class Z1Params:
+    """Skewness transform (D'Agostino 1970), x -> scale * asinh(rate * x).
 
-    Z1 (skewness, D'Agostino 1970): c1 = Var[g1], c2 = kurtosis of g1's
-    null distribution, and the derived W, alpha, delta.  Z2 (kurtosis,
-    Anscombe-Glynn 1983): b1 = E[g2] + 3, b2 = Var[g2], b3 = squared
-    skewness of g2's null distribution, and the derived A.  n = math.inf
-    selects the limiting transform; the finite-N fields are then None.
+    Odd and strictly increasing.  c1 = Var[g1] under the Gaussian null and
+    the derived w and alpha give scale = 1 / sqrt(log w) and
+    rate = 1 / (alpha sqrt(c1)).  n = math.inf selects the limiting
+    transform; its c1 and w are nan.
     """
 
-    kind: str
     n: float
-    c1: float | None = None
-    c2: float | None = None
-    w: float | None = None
-    alpha: float | None = None
-    delta: float | None = None
-    b1: float | None = None
-    b2: float | None = None
-    b3: float | None = None
-    a: float | None = None
-
-    @property
-    def is_limit(self) -> bool:
-        return math.isinf(self.n)
-
-    # -- Z1: x -> delta * asinh(rate * x), odd and strictly increasing.
-
-    def _z1_scale_rate(self):
-        if self.is_limit:
-            return Z1_LIMIT_SCALE, Z1_LIMIT_RATE
-        return self.delta, 1.0 / (self.alpha * math.sqrt(self.c1))
-
-    # -- Z2: a shifted, skewness-corrected Wilson-Hilferty cube-root map.
-
-    def _z2_pieces(self):
-        if self.is_limit:
-            # scale, base, cube-root coefficient, slope, shift
-            return Z2_LIMIT_SCALE, 1.0, 1.0, Z2_LIMIT_RATE, 3.0
-        scale = math.sqrt(4.5 * self.a)
-        base = 1.0 - 2.0 / (9.0 * self.a)
-        coef = (1.0 - 2.0 / self.a) ** (1.0 / 3.0)
-        slope = math.sqrt(2.0 / (self.a - 4.0)) / math.sqrt(self.b2)
-        return scale, base, coef, slope, 3.0 - self.b1
-
-    def _z2_u(self, x):
-        _, _, _, slope, shift = self._z2_pieces()
-        return 1.0 + (np.asarray(x, dtype=float) + shift) * slope
+    c1: float
+    w: float
+    scale: float
+    rate: float
 
     def apply(self, x):
         x = np.asarray(x, dtype=float)
-        if self.kind == "Z1":
-            scale, rate = self._z1_scale_rate()
-            return scale * np.arcsinh(rate * x)
-        scale, base, coef, _, _ = self._z2_pieces()
-        u = self._z2_u(x)
-        return scale * (base - coef / np.cbrt(u))
+        return self.scale * np.arcsinh(self.rate * x)
 
     def derivative(self, x):
         x = np.asarray(x, dtype=float)
-        if self.kind == "Z1":
-            scale, rate = self._z1_scale_rate()
-            return scale * rate / np.sqrt(1.0 + (rate * x) ** 2)
-        scale, _, coef, slope, _ = self._z2_pieces()
-        u = self._z2_u(x)
-        return scale * coef * (slope / 3.0) / (np.cbrt(u) * u)
+        return self.scale * self.rate / np.sqrt(1.0 + (self.rate * x) ** 2)
 
     def second_derivative(self, x):
         x = np.asarray(x, dtype=float)
-        if self.kind == "Z1":
-            scale, rate = self._z1_scale_rate()
-            return -scale * rate**3 * x * (1.0 + (rate * x) ** 2) ** -1.5
-        scale, _, coef, slope, _ = self._z2_pieces()
-        u = self._z2_u(x)
-        return -scale * coef * (4.0 * slope * slope / 9.0) / (np.cbrt(u) * u * u)
+        return -self.scale * self.rate**3 * x * (1.0 + (self.rate * x) ** 2) ** -1.5
 
     def guard(self, x):
-        if self.kind == "Z1":
-            return np.ones(np.shape(np.asarray(x)), dtype=bool)
+        return np.ones(np.shape(np.asarray(x)), dtype=bool)
+
+
+@dataclass(frozen=True)
+class Z2Params:
+    """Kurtosis transform (Anscombe-Glynn 1983), x -> scale * (base - coef / cbrt(u)).
+
+    A shifted, skewness-corrected Wilson-Hilferty cube-root map with
+    u = 1 + (x + shift) * slope.  b1 = E[g2] + 3 and b2 = Var[g2] under the
+    Gaussian null and the derived A = a give the pieces.  n = math.inf
+    selects the limiting transform; its a, b1 and b2 are nan.
+    """
+
+    n: float
+    a: float
+    b1: float
+    b2: float
+    scale: float
+    base: float
+    coef: float
+    slope: float
+    shift: float
+
+    def _u(self, x):
+        return 1.0 + (np.asarray(x, dtype=float) + self.shift) * self.slope
+
+    def apply(self, x):
+        return self.scale * (self.base - self.coef / np.cbrt(self._u(x)))
+
+    def derivative(self, x):
+        u = self._u(x)
+        return self.scale * self.coef * (self.slope / 3.0) / (np.cbrt(u) * u)
+
+    def second_derivative(self, x):
+        u = self._u(x)
+        curvature = 4.0 * self.slope * self.slope / 9.0
+        return -self.scale * self.coef * curvature / (np.cbrt(u) * u * u)
+
+    def guard(self, x):
         with np.errstate(invalid="ignore"):
-            return self._z2_u(x) > _Z2_U_FLOOR
+            return self._u(x) > _Z2_U_FLOOR
+
+
+ZTransformParams = Z1Params | Z2Params
 
 
 def z_params(kind: str, n) -> ZTransformParams:
@@ -394,9 +385,9 @@ def z_params(kind: str, n) -> ZTransformParams:
     if kind not in ("Z1", "Z2"):
         raise ConfigError(f"unknown transform kind {kind!r}")
     n = float(n)
-    if math.isinf(n):
-        return ZTransformParams(kind=kind, n=n)
     if kind == "Z1":
+        if math.isinf(n):
+            return Z1Params(n, c1=math.nan, w=math.nan, scale=Z1_LIMIT_SCALE, rate=Z1_LIMIT_RATE)
         if n < MIN_N["Z1"]:
             raise SampleTooSmall(f"skewness transform needs n >= {MIN_N['Z1']}, got {n:g}")
         c1 = 6.0 * (n - 2.0) / ((n + 1.0) * (n + 3.0))
@@ -407,8 +398,14 @@ def z_params(kind: str, n) -> ZTransformParams:
         w2 = math.sqrt(2.0 * c2 - 2.0) - 1.0
         w = math.sqrt(w2)
         alpha = math.sqrt(2.0 / (w2 - 1.0))
-        delta = 1.0 / math.sqrt(math.log(w))
-        return ZTransformParams(kind=kind, n=n, c1=c1, c2=c2, w=w, alpha=alpha, delta=delta)
+        return Z1Params(
+            n, c1=c1, w=w, scale=1.0 / math.sqrt(math.log(w)), rate=1.0 / (alpha * math.sqrt(c1))
+        )
+    if math.isinf(n):
+        return Z2Params(
+            n, a=math.nan, b1=math.nan, b2=math.nan,
+            scale=Z2_LIMIT_SCALE, base=1.0, coef=1.0, slope=Z2_LIMIT_RATE, shift=3.0,
+        )
     if n < MIN_N["Z2"]:
         raise SampleTooSmall(f"kurtosis transform needs n >= {MIN_N['Z2']}, got {n:g}")
     b1 = 3.0 * (n - 1.0) / (n + 1.0)
@@ -419,7 +416,14 @@ def z_params(kind: str, n) -> ZTransformParams:
     )
     b3 = sqrt_b3 * sqrt_b3
     a = 6.0 + 8.0 / sqrt_b3 * (2.0 / sqrt_b3 + math.sqrt(1.0 + 4.0 / b3))
-    return ZTransformParams(kind=kind, n=n, b1=b1, b2=b2, b3=b3, a=a)
+    return Z2Params(
+        n, a=a, b1=b1, b2=b2,
+        scale=math.sqrt(4.5 * a),
+        base=1.0 - 2.0 / (9.0 * a),
+        coef=(1.0 - 2.0 / a) ** (1.0 / 3.0),
+        slope=math.sqrt(2.0 / (a - 4.0)) / math.sqrt(b2),
+        shift=3.0 - b1,
+    )
 
 
 def _z_composed(name: str, inner: Transformation, params: ZTransformParams) -> Transformation:

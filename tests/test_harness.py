@@ -1,6 +1,7 @@
 import _ctypes
 import math
 import os
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 import pytest
@@ -15,13 +16,11 @@ from fdbands import (
     sample_model,
     truth_curve,
 )
-from fdbands import blas, simmodels
+from fdbands import blas, harness, simmodels
 from fdbands.blas import blas_thread_counts, set_blas_threads
 from fdbands.harness import (
     CoverageReport,
     ExperimentConfig,
-    _build_context,
-    _cell_payload,
     _coverage_pool,
     available_cores,
     band_curves,
@@ -101,6 +100,58 @@ def test_config_rejects_alpha_outside_gkf_range(methods):
     with pytest.raises(ConfigError, match="gkf quantile needs alpha"):
         ExperimentConfig(methods=methods, alpha=0.6)
     ExperimentConfig(methods=("mult",), alpha=0.6)
+
+
+@pytest.mark.parametrize("overrides,message", [
+    (dict(bootstrap_b=50), r"^need at least 100 bootstrap replicates, got 50$"),
+    (dict(methods=("gkf", "rtmult"), bootstrap_b=99), r"^need at least 100 bootstrap replicates, got 99$"),
+    (dict(bandwidth=-1.0), r"^Model A bandwidth must be positive$"),
+    (dict(bandwidth=0.0), r"^Model A bandwidth must be positive$"),
+    (dict(jitter=-1e-12), r"^jitter must be nonnegative$"),
+    (dict(sample_sizes=()), r"^need at least one sample size$"),
+])
+def test_config_rejects_what_used_to_fail_in_the_run(overrides, message):
+    with pytest.raises(ConfigError, match=message):
+        ExperimentConfig(**overrides)
+
+
+def test_config_bootstrap_b_only_matters_to_bootstrap_methods():
+    assert ExperimentConfig(methods=("gkf", "tgkf"), bootstrap_b=50).bootstrap_b == 50
+
+
+ALL_KEYS_TEXT = """
+model = b
+statistic = KURTOSIS_Z
+methods = MULT, gkf
+se_mode = Estimated
+bias_correction = yes
+sample_sizes = 20, 40,
+grid_size = 17
+replicates = 150
+bootstrap_b = 200
+alpha = 0.1
+seed = 5
+noise_sigma = 0.25
+output = x.csv
+workers = 2
+bandwidth = 0.5
+jitter = 1e-9
+"""
+
+
+def test_config_file_accepts_every_field_as_a_key():
+    want = ExperimentConfig(
+        model="B", statistic="kurtosis_z", methods=("mult", "gkf"), se_mode="estimated",
+        bias_correction=True, sample_sizes=(20, 40), grid_size=17, replicates=150,
+        bootstrap_b=200, alpha=0.1, seed=5, noise_sigma=0.25, output="x.csv", workers=2,
+        bandwidth=0.5, jitter=1e-9,
+    )
+    assert len(ALL_KEYS_TEXT.split("=")) - 1 == len(fields(ExperimentConfig))
+    got = ExperimentConfig.from_text(ALL_KEYS_TEXT)
+    assert got == want
+    assert [type(v) for v in astuple(got)] == [type(v) for v in astuple(want)]
+    with pytest.raises(ConfigError, match="need at least one sample size"):
+        ExperimentConfig.from_text("sample_sizes =")
 
 
 def test_resolve_workers_defaults_to_available_cores(monkeypatch):
@@ -204,8 +255,13 @@ def _tiny_config(**overrides):
     return ExperimentConfig(**base)
 
 
-def test_force_zero_quantile_gives_zero_coverage():
-    report = run_coverage(_tiny_config(), force_zero_q=True)
+def test_force_zero_quantile_gives_zero_coverage(monkeypatch):
+    # every band collapses to its center curve, which never holds the truth
+    estimate = harness.estimate_quantile
+    monkeypatch.setattr(
+        harness, "estimate_quantile", lambda *args, **kw: replace(estimate(*args, **kw), q=0.0)
+    )
+    report = run_coverage(_tiny_config())
     assert report.rows[0].coverage == 0.0
 
 
@@ -226,19 +282,48 @@ def test_coverage_report_csv_layout(tmp_path):
 def test_coverage_deterministic_across_worker_counts(tmp_path, monkeypatch):
     out1 = tmp_path / "w1.csv"
     out2 = tmp_path / "w2.csv"
+    cells = dict(statistic="cohens_d", sample_sizes=(20, 30), methods=("mult", "gkf"))
     monkeypatch.setenv("FDBANDS_WORKERS", "1")
-    run_coverage(_tiny_config(output=str(out1), statistic="cohens_d"))
+    report = run_coverage(_tiny_config(output=str(out1), **cells))
     monkeypatch.setenv("FDBANDS_WORKERS", "2")
-    run_coverage(_tiny_config(output=str(out2), statistic="cohens_d"))
+    run_coverage(_tiny_config(output=str(out2), **cells))
     assert out1.read_bytes() == out2.read_bytes()
+    # each cell's rows are those of a run on that sample size alone
+    assert [(r.n, r.method) for r in report.rows] == [
+        (20, "mult"), (20, "gkf"), (30, "mult"), (30, "gkf")
+    ]
+    alone = run_coverage(_tiny_config(**dict(cells, sample_sizes=(30,))))
+    assert alone.rows == report.rows[2:]
+
+
+def test_one_pool_per_coverage_run(monkeypatch):
+    pools = []
+    pool_class = harness.ProcessPoolExecutor
+
+    def counting_pool(*args, **kwargs):
+        pools.append(kwargs["max_workers"])
+        return pool_class(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", counting_pool)
+    monkeypatch.setenv("FDBANDS_WORKERS", "2")
+    report = run_coverage(_tiny_config(sample_sizes=(20, 30, 40)))
+    assert pools == [2]
+    assert [r.n for r in report.rows] == [20, 30, 40]
+
+
+def test_cell_errors_raise_before_any_worker_starts(monkeypatch):
+    # model C has no closed-form skewness_z truth; the parent says so, not a broken pool
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", None)  # any pool start fails
+    monkeypatch.setenv("FDBANDS_WORKERS", "2")
+    with pytest.raises(NotAvailable, match="no closed-form skewness_z truth for model C"):
+        run_coverage(_tiny_config(model="C", statistic="skewness_z"))
 
 
 def test_pool_workers_get_a_fair_share_of_blas_threads():
     if not blas_thread_counts():
         pytest.skip("no OpenBLAS found in this process")
     workers = 2
-    payload = _cell_payload(_tiny_config(), 20, False)
-    with _coverage_pool(workers, payload) as pool:
+    with _coverage_pool(_tiny_config(), workers) as pool:
         counts = pool.submit(blas_thread_counts).result(timeout=60)
     want = max(1, available_cores() // workers)
     assert counts == (want,) * len(counts)
@@ -279,15 +364,19 @@ def test_model_b_factor_is_built_once_in_the_parent(tmp_path, monkeypatch):
     run_coverage(cfg)
     assert builds.read_text().split() == [str(os.getpid())]
 
-    # a worker with an empty cache samples from the factor in its payload
-    payload = _cell_payload(cfg, 20, False)
+    # a worker with an empty cache samples from the factor it is shipped
+    factor = simmodels.model_b_chol(Grid.equispaced(cfg.grid_size), cfg.jitter)
     monkeypatch.setattr(simmodels, "_MODEL_B_CHOLS", {})
     monkeypatch.setattr(simmodels, "model_b_corr_matrix", None)  # any rebuild fails
-    ctx = _build_context(payload)
-    primed = sample_model(ctx["spec"], 20, ctx["grid"], StreamKey(4))
+    monkeypatch.setattr(harness, "set_blas_threads", lambda threads: None)
+    monkeypatch.setattr(harness, "_CFG", None)
+    monkeypatch.setattr(harness, "_CELLS", ())
+    harness._init_worker(cfg, factor, 1)
+    cell = harness._CELLS[0]
+    primed = sample_model(cell.spec, 20, cell.grid, StreamKey(4))
     monkeypatch.setattr(simmodels, "model_b_corr_matrix", build)
     monkeypatch.setattr(simmodels, "_MODEL_B_CHOLS", {})
-    assert np.array_equal(primed.values, sample_model(ctx["spec"], 20, ctx["grid"], StreamKey(4)).values)
+    assert np.array_equal(primed.values, sample_model(cell.spec, 20, cell.grid, StreamKey(4)).values)
 
 
 def test_mean_statistic_baseline_coverage():

@@ -21,9 +21,10 @@ from fdbands import (
     get_transformation,
     pointwise_moments,
     se_estimate,
+    ZTransformParams,
     z_params,
 )
-from fdbands.transforms import TRANSFORMATION_NAMES, min_sample_size
+from fdbands.transforms import TRANSFORMATION_NAMES, Z1Params, Z2Params, min_sample_size
 from fdbands.verify import finite_diff_grad, finite_diff_jacobian
 
 GRID2 = Grid([0.0, 1.0])
@@ -289,6 +290,16 @@ def test_minimum_sample_sizes_and_messages():
 # --------------------------------------------------------------------------
 # normalizing transforms
 # --------------------------------------------------------------------------
+
+def test_z_params_classes():
+    for n in (30, math.inf):
+        p1, p2 = z_params("Z1", n), z_params("Z2", n)
+        assert type(p1) is Z1Params and type(p2) is Z2Params
+        assert isinstance(p1, ZTransformParams) and isinstance(p2, ZTransformParams)
+        assert p1.n == p2.n == n
+    # the finite-N constants have no limiting value
+    assert math.isnan(z_params("Z1", math.inf).c1) and math.isnan(z_params("Z2", math.inf).a)
+
 
 def test_z1_limit_values():
     p = z_params("Z1", math.inf)
