@@ -37,7 +37,7 @@ from .quantile import (
     import_deferred,
 )
 from .rng import StreamKey
-from .scb import SE_MODES, construct_scb, covers
+from .scb import SE_MODES, check_gaussian_exact, construct_scb, covers, gaussian_exact_null
 from .simmodels import (
     MODEL_A_BANDWIDTH,
     ModelSpec,
@@ -55,7 +55,6 @@ from .transforms import (
     Transformation,
     bias_estimate,
     delta_residuals,
-    gaussian_null,
     get_transformation,
     min_sample_size,
 )
@@ -101,8 +100,7 @@ class ExperimentConfig:
         if self.se_mode == "gaussian_exact":
             if self.model == "C":
                 raise ConfigError("gaussian_exact se is undefined for the non-Gaussian model C")
-            if self.bias_correction:
-                raise ConfigError("gaussian_exact already centers with the exact null mean")
+            check_gaussian_exact(self.bias_correction)
         if self.replicates < 100:
             raise ConfigError(f"need at least 100 replicates, got {self.replicates}")
         if not 0.0 < self.alpha < 1.0:
@@ -113,6 +111,7 @@ class ExperimentConfig:
             check_bootstrap_b(self.bootstrap_b)
         if self.grid_size < 3:
             raise ConfigError("grid_size must be >= 3")
+        truth_curve(self.model, self.statistic, Grid.equispaced(self.grid_size))
         if not self.sample_sizes:
             raise ConfigError("need at least one sample size")
         minimum = min_sample_size(self.statistic)
@@ -230,7 +229,7 @@ def gaussian_exact_se(model, statistic: str, grid: Grid, n: int) -> Curve:
         d = model_mean(kind, s) / amp
         return Curve(grid, np.sqrt((1.0 + 0.5 * d * d) / n))
     if statistic in GAUSSIAN_NULL_STATISTICS:
-        return Curve(grid, np.full(len(grid), gaussian_null(statistic, n)[0]))
+        return gaussian_exact_null(statistic, grid, n)[0]
     raise NotAvailable(f"no exact se for statistic {statistic!r}")
 
 
@@ -241,7 +240,7 @@ def gaussian_exact_bias(model, statistic: str, grid: Grid, n: int) -> Curve:
         raise NotAvailable("exact bias requires a Gaussian model")
     statistic = statistic.lower()
     if statistic in GAUSSIAN_NULL_STATISTICS:
-        return Curve(grid, np.full(len(grid), gaussian_null(statistic, n)[1]))
+        return gaussian_exact_null(statistic, grid, n)[1]
     if statistic == "variance":
         amp = model_amplitude(kind, grid.points)
         return Curve(grid, -(amp * amp) / n)
@@ -475,17 +474,7 @@ def band_curves(
     drs = delta_residuals(t, sample)
     q = estimate_quantile(drs, method, alpha, b=b, key=key)
     if se_mode == "gaussian_exact":
-        if statistic not in GAUSSIAN_NULL_STATISTICS:
-            raise ConfigError(
-                "gaussian_exact se from a bare sample is only defined for "
-                "skewness/kurtosis statistics"
-            )
-        if bias_correction:
-            raise ConfigError("gaussian_exact already centers with the exact null mean")
-        grid = sample.grid
-        sd, null_mean = gaussian_null(statistic, sample.n)
-        se = Curve(grid, np.full(len(grid), sd))
-        bias = Curve(grid, np.full(len(grid), null_mean))
+        se, bias = gaussian_exact_null(statistic, sample.grid, sample.n, bias_correction)
     else:
         se = drs.se
         bias = bias_estimate(t, sample) if bias_correction else None

@@ -91,6 +91,25 @@ def construct_scb(
     )
 
 
+def check_gaussian_exact(bias_correction: bool) -> None:
+    """se_mode gaussian_exact centers with the exact null mean, so it rules out bias correction."""
+    if bias_correction:
+        raise ConfigError("gaussian_exact already centers with the exact null mean")
+
+
+def gaussian_exact_null(statistic: str, grid: Grid, n: int, bias_correction: bool = False):
+    """(se, bias) curves of se_mode gaussian_exact: the exact null sd and mean
+    of a skewness/kurtosis estimator, the same under every Gaussian model."""
+    if statistic not in GAUSSIAN_NULL_STATISTICS:
+        raise ConfigError(
+            "gaussian_exact se from a bare sample is only defined for "
+            "skewness/kurtosis statistics"
+        )
+    check_gaussian_exact(bias_correction)
+    sd, null_mean = gaussian_null(statistic, n)
+    return Curve(grid, np.full(len(grid), sd)), Curve(grid, np.full(len(grid), null_mean))
+
+
 def covers(scb: Scb, truth: Curve) -> bool:
     """True iff lower <= truth <= upper at every grid point (closed band)."""
     if not np.array_equal(truth.grid.points, scb.grid.points):
@@ -137,15 +156,11 @@ def gauss_test(
 
     grid = sample.grid
     if se_mode == "gaussian_exact":
-        if bias_correction:
-            raise ConfigError("gaussian_exact already centers with the exact null mean")
-        sd, null_mean = gaussian_null(statistic, n)
-        centered = drs.estimate.values - null_mean
+        se, null_mean = gaussian_exact_null(statistic, grid, n, bias_correction)
+        centered = drs.estimate.values - null_mean.values
         max_stat = float(np.max(np.abs(centered)))
-        threshold = q.q * sd
-        band = construct_scb(
-            Curve(grid, centered), Curve(grid, np.full(len(grid), sd)), q, se_mode=se_mode
-        )
+        threshold = q.q * float(se.values[0])
+        band = construct_scb(Curve(grid, centered), se, q, se_mode=se_mode)
     else:
         if np.any(drs.se.values <= 0.0):
             raise ConfigError("estimated se vanished; cannot standardize the test")

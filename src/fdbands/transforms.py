@@ -1,21 +1,29 @@
 """Moment-based statistics and their residual calculus.
 
-A Transformation is a smooth map H of the vector of pointwise non-centered
-sample moments: Cohen's d, variance, skewness g1, excess kurtosis g2, their
-normalizing transforms, and the mean as the linear base case.  Each carries
-an analytic gradient and Hessian (unit-tested against central differences;
-nothing is differentiated numerically at runtime) and a domain guard that
-rejects grid points where the statistic degenerates (e.g. zero variance).
+A Transformation is a smooth statistic H of the pointwise sample moments:
+Cohen's d, variance, skewness g1, excess kurtosis g2, their normalizing
+transforms, and the mean as the linear base case.  Each is written once, as
+a function of c = (mean, m2, ..., mK), the mean and the central moments,
+returning H and its analytic gradient and Hessian in c (unit-tested against
+central differences), with a domain guard on c that rejects grid points
+where the statistic degenerates (e.g. zero variance).  The raw-moment API
+goes through one generic chain rule from raw to central moments.
 
-The residual construction: with R^(r)_n = X_n^r - mean(X^r) the per-order
-moment residuals, the transformed residual curves
+The residual construction: with d_n = X_n - mean, psi_1 = d_n and
+psi_r = d_n^r - m_r - r m_{r-1} d_n the empirical influence functions of
+the mean and the central moments, the transformed residual curves
 
-    R~_n(s) = grad H(moments(s)) . R_n(s)
+    R~_n(s) = grad_c H(c(s)) . psi_n(s)
 
-sum to zero pointwise and their empirical covariance N^-1 sum R~ R~^T
-converges to the covariance of the limiting process of
+are the empirical influence function of H (Hampel, JASA 1974).  They sum to
+zero pointwise and their empirical covariance N^-1 sum R~ R~^T converges to
+the covariance of the limiting process of
 sqrt(N) (H(sample moments) - H(population moments)).  They drive both the
-multiplier bootstrap and the kinematic-formula quantile estimates.
+multiplier bootstrap and the kinematic-formula quantile estimates.  Each
+grid point is worked on d 2^-e, with e chosen so that max |d 2^-e| lies in
+[0.5, 1) (Chan, Golub & LeVeque, Am. Stat. 1983), so no power cancels,
+overflows or underflows; H is homogeneous of a known degree in the data,
+and ldexp(., degree * e) brings the results back exactly.
 
 The skewness/kurtosis normalizing transforms follow D'Agostino (Biometrika
 1970) and Anscombe & Glynn (Biometrika 1983), with the finite-N constants
@@ -33,17 +41,12 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, DomainGuardViolation, NotAvailable, SampleTooSmall, ShapeMismatch
-from .fdata import Curve, FunctionalSample, Grid
-from .moments import (
-    MomentEstimates,
-    MomentOrders,
-    moment_residuals,
-    pointwise_moments,
-)
+from .fdata import Curve, FunctionalSample, Grid, validate
+from .moments import MomentEstimates, MomentOrders
 
-# Variance guard: require (m2 - m1^2) > floor * m2.  m2 is the natural
-# squared scale of the data, so this is a relative cutoff against
-# catastrophic cancellation for near-constant samples.
+# Variance guard: require m2 > floor * (m2 + mean^2), the raw second moment.
+# That is the natural squared scale of the data, so this is a relative
+# cutoff for near-constant samples.
 _REL_VARIANCE_FLOOR = 1e-12
 # Kurtosis-transform guard: the inner 1 + (...) expression must stay positive.
 _Z2_U_FLOOR = 1e-8
@@ -54,35 +57,54 @@ _Z2_U_FLOOR = 1e-8
 MIN_N = {"Z1": 8, "Z2": 20, "gaussian_null": 4}
 _Z_KINDS = {"skewness_z": "Z1", "kurtosis_z": "Z2"}
 
-TRANSFORMATION_NAMES = (
-    "mean",
-    "variance",
-    "cohens_d",
-    "skewness",
-    "kurtosis",
-    "skewness_z",
-    "kurtosis_z",
-)
-
 
 @dataclass(frozen=True)
 class Transformation:
     """A statistic H of K pointwise moments with analytic derivatives.
 
-    The callables accept a (K, T) moment matrix (or a (K,) vector) and
-    return (T,), (K, T), (K, K, T) arrays respectively; domain_guard
-    returns a (T,) boolean mask of grid points where H is safe to evaluate.
+    central maps c = (mean, m2, ..., mK), a (K, P) matrix, to H (P,) with
+    its gradient (K, P) and Hessian (K, K, P) in c, and central_guard maps c
+    to a (P,) mask of points where H is safe to evaluate.  H is homogeneous
+    of the given degree in the data.  value, gradient, hessian and
+    domain_guard do the same for the raw moments (mean(X), ..., mean(X^K)),
+    given as a (K, T) matrix or a (K,) vector.
     n is the sample-size index for N-dependent families (math.inf selects
     the limiting member); None for N-free statistics.
     """
 
     name: str
     orders: MomentOrders
-    value: Callable[[np.ndarray], np.ndarray]
-    gradient: Callable[[np.ndarray], np.ndarray]
-    hessian: Callable[[np.ndarray], np.ndarray]
-    domain_guard: Callable[[np.ndarray], np.ndarray]
+    central: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
+    central_guard: Callable[[np.ndarray], np.ndarray]
+    degree: int
     n: float | None = None
+
+    def value(self, m):
+        return self._on_raw(m, 0, lambda c: self.central(c)[0])
+
+    def gradient(self, m):
+        return self._on_raw(m, 1, lambda c, jac: np.einsum("rp,rjp->jp", self.central(c)[1], jac))
+
+    def hessian(self, m):
+        def chain(c, jac, sec):
+            _, g, h = self.central(c)
+            return np.einsum("rsp,rjp,skp->jkp", h, jac, jac) + np.einsum("rp,rjkp->jkp", g, sec)
+
+        return self._on_raw(m, 2, chain)
+
+    def domain_guard(self, m):
+        return self._on_raw(m, 0, self.central_guard)
+
+    def _on_raw(self, m, order, fn):
+        k = len(self.orders)
+        m = np.asarray(m, dtype=float)
+        vector = m.ndim == 1
+        if vector:
+            m = m[:, None]
+        if m.ndim != 2 or m.shape[0] != k:
+            raise ShapeMismatch(f"expected a ({k}, T) moment matrix, got shape {m.shape}")
+        out = fn(*_raw_to_central(m, order))
+        return out[..., 0] if vector else out
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,201 +119,98 @@ class DeltaResidualSet:
     n: int
 
 
-# --------------------------------------------------------------------------
-# shape plumbing
-# --------------------------------------------------------------------------
+def _raw_to_central(a: np.ndarray, order: int):
+    """c = (mean, m2, ..., mK) of the raw moments a (K, P), then dc/da and
+    d2c/da2 up to the given derivative order.
 
-def _wrap(k: int, fn):
-    """Adapt a (K,P)->(...,P) implementation to also accept (K,) vectors."""
-
-    def wrapped(m):
-        m = np.asarray(m, dtype=float)
-        squeeze = m.ndim == 1
-        if squeeze:
-            m = m[:, None]
-        if m.ndim != 2 or m.shape[0] != k:
-            raise ShapeMismatch(f"expected a ({k}, T) moment matrix, got shape {m.shape}")
-        out = fn(m)
-        return out[..., 0] if squeeze else out
-
-    return wrapped
-
-
-def _build(name, orders, value, gradient, hessian, guard, n=None) -> Transformation:
-    k = len(orders)
-    return Transformation(
-        name=name,
-        orders=orders,
-        value=_wrap(k, value),
-        gradient=_wrap(k, gradient),
-        hessian=_wrap(k, hessian),
-        domain_guard=_wrap(k, guard),
-        n=n,
-    )
-
-
-def _guard_all(m):
-    return np.ones(m.shape[1], dtype=bool)
+    m_r = sum_j C(r, j) a_j (-mean)^(r-j), with a_0 = 1 and a_1 = mean; in
+    central terms (m_0 = 1, m_1 = 0) dm_r/da_1 = r ((-mean)^(r-1) - m_{r-1}),
+    d2m_r/da_1^2 = r (r-1) (m_{r-2} - 2 (-mean)^(r-2)), and for j >= 2
+    dm_r/da_j = C(r, j) (-mean)^(r-j), d2m_r/da_1 da_j = -(r-j) C(r, j) (-mean)^(r-j-1).
+    """
+    k, p = a.shape
+    neg = [1.0, -a[0]]  # powers of -mean
+    for _ in range(k - 1):
+        neg.append(neg[-1] * neg[1])
+    raw = [1.0, *a]
+    m = [1.0, 0.0]
+    for r in range(2, k + 1):
+        m.append(sum(math.comb(r, j) * raw[j] * neg[r - j] for j in range(r + 1)))
+    c = np.stack([a[0], *m[2:]])
+    if order == 0:
+        return (c,)
+    jac = np.zeros((k, k, p))
+    sec = np.zeros((k, k, k, p))
+    jac[0, 0] = 1.0
+    for r in range(2, k + 1):
+        jac[r - 1, 0] = r * (neg[r - 1] - m[r - 1])
+        sec[r - 1, 0, 0] = r * (r - 1) * (m[r - 2] - 2.0 * neg[r - 2])
+        for j in range(2, r + 1):
+            jac[r - 1, j - 1] = math.comb(r, j) * neg[r - j]
+        for j in range(2, r):
+            sec[r - 1, 0, j - 1] = sec[r - 1, j - 1, 0] = -math.comb(r, j) * (r - j) * neg[r - j - 1]
+    return (c, jac, sec)[: order + 1]
 
 
-def _guard_variance(m):
-    x, y = m[0], m[1]
-    return (y - x * x) > _REL_VARIANCE_FLOOR * y
+def _guard_variance(c):
+    return c[1] > _REL_VARIANCE_FLOOR * (c[1] + c[0] * c[0])
 
 
 # --------------------------------------------------------------------------
-# built-in statistics
+# built-in statistics of c = (mean, m2, ..., mK)
 # --------------------------------------------------------------------------
 
-def _mean_transformation() -> Transformation:
-    orders = MomentOrders((1,))
-    return _build(
-        "mean",
-        orders,
-        value=lambda m: m[0].copy(),
-        gradient=lambda m: np.ones_like(m),
-        hessian=lambda m: np.zeros((1, 1, m.shape[1])),
-        guard=_guard_all,
-    )
+def _mean(c):
+    return c[0].copy(), np.ones_like(c), np.zeros((1, 1, c.shape[1]))
 
 
-def _variance_transformation() -> Transformation:
-    orders = MomentOrders((1, 2))
-
-    def value(m):
-        return m[1] - m[0] * m[0]
-
-    def gradient(m):
-        return np.stack([-2.0 * m[0], np.ones_like(m[0])])
-
-    def hessian(m):
-        h = np.zeros((2, 2, m.shape[1]))
-        h[0, 0] = -2.0
-        return h
-
-    return _build("variance", orders, value, gradient, hessian, _guard_variance)
+def _variance(c):
+    p = c.shape[1]
+    return c[1].copy(), np.stack([np.zeros(p), np.ones(p)]), np.zeros((2, 2, p))
 
 
-def _cohens_d_transformation() -> Transformation:
-    orders = MomentOrders((1, 2))
-
-    def value(m):
-        x, y = m[0], m[1]
-        return x / np.sqrt(y - x * x)
-
-    def gradient(m):
-        x, y = m[0], m[1]
-        v32 = (y - x * x) ** -1.5
-        return np.stack([y * v32, -0.5 * x * v32])
-
-    def hessian(m):
-        x, y = m[0], m[1]
-        v = y - x * x
-        v32 = v**-1.5
-        v52 = v**-2.5
-        h = np.empty((2, 2, m.shape[1]))
-        h[0, 0] = 3.0 * x * y * v52
-        h[0, 1] = h[1, 0] = v32 - 1.5 * y * v52
-        h[1, 1] = 0.75 * x * v52
-        return h
-
-    return _build("cohens_d", orders, value, gradient, hessian, _guard_variance)
+def _cohens_d(c):
+    mu, v = c
+    s = v**-0.5
+    v32 = s / v
+    h = np.zeros((2, 2, c.shape[1]))
+    h[0, 1] = h[1, 0] = -0.5 * v32
+    h[1, 1] = 0.75 * mu * v32 / v
+    return mu * s, np.stack([s, -0.5 * mu * v32]), h
 
 
-def _skewness_transformation() -> Transformation:
-    # g1 = m3 / v^(3/2) with v, m3 the central moments expressed through
-    # the raw moments (x, y, z) = (m1, m2, m3_raw).
-    orders = MomentOrders((1, 2, 3))
-
-    def _pieces(m):
-        x, y, z = m
-        v = y - x * x
-        m3 = z - 3.0 * x * y + 2.0 * x**3
-        return x, y, v, m3
-
-    def value(m):
-        x, y, v, m3 = _pieces(m)
-        return m3 * v**-1.5
-
-    def gradient(m):
-        x, y, v, m3 = _pieces(m)
-        v32 = v**-1.5
-        v52 = v**-2.5
-        phi_v = -1.5 * m3 * v52
-        g = np.empty((3, m.shape[1]))
-        g[0] = phi_v * (-2.0 * x) + v32 * (6.0 * x * x - 3.0 * y)
-        g[1] = phi_v - 3.0 * x * v32
-        g[2] = v32
-        return g
-
-    def hessian(m):
-        x, y, v, m3 = _pieces(m)
-        one = np.ones_like(x)
-        zero = np.zeros_like(x)
-        v32 = v**-1.5
-        v52 = v**-2.5
-        v72 = v**-3.5
-        phi_v = -1.5 * m3 * v52
-        phi_vv = 3.75 * m3 * v72
-        phi_vm = -1.5 * v52
-        cv = np.stack([-2.0 * x, one, zero])
-        cm = np.stack([6.0 * x * x - 3.0 * y, -3.0 * x, one])
-        h = phi_vv * cv[:, None] * cv[None, :]
-        h = h + phi_vm * (cv[:, None] * cm[None, :] + cm[:, None] * cv[None, :])
-        h[0, 0] += phi_v * (-2.0) + v32 * 12.0 * x
-        h[0, 1] += v32 * (-3.0)
-        h[1, 0] += v32 * (-3.0)
-        return h
-
-    return _build("skewness", orders, value, gradient, hessian, _guard_variance)
+def _skewness(c):
+    # g1 = m3 / v^(3/2)
+    _, v, m3 = c
+    v32 = v**-1.5
+    v52 = v32 / v
+    h = np.zeros((3, 3, c.shape[1]))
+    h[1, 1] = 3.75 * m3 * v52 / v
+    h[1, 2] = h[2, 1] = -1.5 * v52
+    return m3 * v32, np.stack([np.zeros_like(v), -1.5 * m3 * v52, v32]), h
 
 
-def _kurtosis_transformation() -> Transformation:
-    # Excess kurtosis g2 = m4 / v^2 - 3, raw moments (x, y, z, w).
-    orders = MomentOrders((1, 2, 3, 4))
+def _kurtosis(c):
+    # excess kurtosis g2 = m4 / v^2 - 3
+    _, v, _, m4 = c
+    v2 = 1.0 / (v * v)
+    h = np.zeros((4, 4, c.shape[1]))
+    h[1, 1] = 6.0 * m4 * v2 * v2
+    h[1, 3] = h[3, 1] = -2.0 * v2 / v
+    zero = np.zeros_like(v)
+    return m4 / (v * v) - 3.0, np.stack([zero, -2.0 * m4 * v2 / v, zero, v2]), h
 
-    def _pieces(m):
-        x, y, z, w = m
-        v = y - x * x
-        m4 = w - 4.0 * x * z + 6.0 * x * x * y - 3.0 * x**4
-        return x, y, z, v, m4
 
-    def value(m):
-        x, y, z, v, m4 = _pieces(m)
-        return m4 / (v * v) - 3.0
-
-    def _cm(x, y, z, one):
-        return np.stack([-4.0 * z + 12.0 * x * y - 12.0 * x**3, 6.0 * x * x, -4.0 * x, one])
-
-    def gradient(m):
-        x, y, z, v, m4 = _pieces(m)
-        one = np.ones_like(x)
-        zero = np.zeros_like(x)
-        phi_v = -2.0 * m4 * v**-3
-        phi_m = v**-2
-        cv = np.stack([-2.0 * x, one, zero, zero])
-        return phi_v * cv + phi_m * _cm(x, y, z, one)
-
-    def hessian(m):
-        x, y, z, v, m4 = _pieces(m)
-        one = np.ones_like(x)
-        zero = np.zeros_like(x)
-        phi_v = -2.0 * m4 * v**-3
-        phi_m = v**-2
-        phi_vv = 6.0 * m4 * v**-4
-        phi_vm = -2.0 * v**-3
-        cv = np.stack([-2.0 * x, one, zero, zero])
-        cm = _cm(x, y, z, one)
-        h = phi_vv * cv[:, None] * cv[None, :]
-        h = h + phi_vm * (cv[:, None] * cm[None, :] + cm[:, None] * cv[None, :])
-        h[0, 0] += phi_v * (-2.0) + phi_m * (12.0 * y - 36.0 * x * x)
-        h[0, 1] += phi_m * 12.0 * x
-        h[1, 0] += phi_m * 12.0 * x
-        h[0, 2] += phi_m * (-4.0)
-        h[2, 0] += phi_m * (-4.0)
-        return h
-
-    return _build("kurtosis", orders, value, gradient, hessian, _guard_variance)
+# name -> (statistic of c, top moment order K, guard on c, degree of
+# homogeneity in the data); the z forms compose on their inner statistic.
+_STATISTICS = {
+    "mean": (_mean, 1, lambda c: np.ones(c.shape[1], dtype=bool), 1),
+    "variance": (_variance, 2, _guard_variance, 2),
+    "cohens_d": (_cohens_d, 2, _guard_variance, 0),
+    "skewness": (_skewness, 3, _guard_variance, 0),
+    "kurtosis": (_kurtosis, 4, _guard_variance, 0),
+}
+TRANSFORMATION_NAMES = (*_STATISTICS, *_Z_KINDS)
 
 
 # --------------------------------------------------------------------------
@@ -426,39 +345,21 @@ def z_params(kind: str, n) -> ZTransformParams:
     )
 
 
-def _z_composed(name: str, inner: Transformation, params: ZTransformParams) -> Transformation:
-    inner_value = inner.value
-    inner_grad = inner.gradient
-    inner_hess = inner.hessian
-    inner_guard = inner.domain_guard
+def _z_composed(stat, guard, params: ZTransformParams):
+    """The statistic params(stat) of c and its guard."""
 
-    def value(m):
-        return params.apply(inner_value(m))
+    def central(c):
+        f, g, h = stat(c)
+        slope = params.derivative(f)
+        return params.apply(f), slope * g, params.second_derivative(f) * g[:, None] * g[None, :] + slope * h
 
-    def gradient(m):
-        return params.derivative(inner_value(m)) * inner_grad(m)
-
-    def hessian(m):
-        g = inner_value(m)
-        gr = inner_grad(m)
-        outer = gr[:, None] * gr[None, :]
-        return params.second_derivative(g) * outer + params.derivative(g) * inner_hess(m)
-
-    def guard(m):
-        ok = inner_guard(m)
+    def central_guard(c):
+        ok = guard(c)
         with np.errstate(all="ignore"):
-            g = inner_value(m)
-        return ok & params.guard(np.where(ok, g, 0.0))
+            f = stat(c)[0]
+        return ok & params.guard(np.where(ok, f, 0.0))
 
-    return Transformation(
-        name=name,
-        orders=inner.orders,
-        value=value,
-        gradient=gradient,
-        hessian=hessian,
-        domain_guard=guard,
-        n=params.n,
-    )
+    return central, central_guard
 
 
 def min_sample_size(statistic: str) -> int:
@@ -473,63 +374,86 @@ def get_transformation(name: str, n=None) -> Transformation:
     kurtosis_z); passing n=None selects their limiting member.
     """
     key = name.strip().lower()
-    if key == "mean":
-        return _mean_transformation()
-    if key == "variance":
-        return _variance_transformation()
-    if key == "cohens_d":
-        return _cohens_d_transformation()
-    if key == "skewness":
-        return _skewness_transformation()
-    if key == "kurtosis":
-        return _kurtosis_transformation()
-    if key == "skewness_z":
-        params = z_params("Z1", math.inf if n is None else n)
-        return _z_composed("skewness_z", _skewness_transformation(), params)
-    if key == "kurtosis_z":
-        params = z_params("Z2", math.inf if n is None else n)
-        return _z_composed("kurtosis_z", _kurtosis_transformation(), params)
-    raise ConfigError(f"unknown transformation {name!r}; known: {', '.join(TRANSFORMATION_NAMES)}")
+    if key not in TRANSFORMATION_NAMES:
+        raise ConfigError(f"unknown transformation {name!r}; known: {', '.join(TRANSFORMATION_NAMES)}")
+    stat, top, guard, degree = _STATISTICS[key.removesuffix("_z")]
+    params = None
+    if key in _Z_KINDS:
+        params = z_params(_Z_KINDS[key], math.inf if n is None else n)
+        stat, guard = _z_composed(stat, guard, params)
+    orders = MomentOrders(tuple(range(1, top + 1)))
+    return Transformation(key, orders, stat, guard, degree, None if params is None else params.n)
 
 
 # --------------------------------------------------------------------------
 # evaluation and residual construction
 # --------------------------------------------------------------------------
 
-def _check_guard(t: Transformation, values: np.ndarray, grid: Grid) -> None:
-    ok = t.domain_guard(values)
+def _check_guard(name: str, ok: np.ndarray, grid: Grid) -> None:
     if not np.all(ok):
         idx = int(np.argmax(~ok))
         raise DomainGuardViolation(
-            f"{t.name}: domain guard fails at grid point s={grid.points[idx]:g} (index {idx})"
+            f"{name}: domain guard fails at grid point s={grid.points[idx]:g} (index {idx})"
         )
 
 
 def evaluate(t: Transformation, moments: MomentEstimates) -> Curve:
-    """Pointwise H of the moment rows."""
-    _check_guard(t, moments.values, moments.grid)
+    """Pointwise H of the raw moment rows."""
+    _check_guard(t.name, t.domain_guard(moments.values), moments.grid)
     return Curve(moments.grid, t.value(moments.values))
+
+
+def _scaled_frame(t: Transformation, sample: FunctionalSample):
+    """(d, e, c) at every grid point, with H's domain guard checked on c.
+
+    d = (X - mean) 2^-e, with the integer e chosen so that max |d| lies in
+    [0.5, 1) (e = 0 for a constant column), and c = (mean 2^-e, m2, ...,
+    mK) holds the mean and the central moments of d.
+    """
+    validate(sample)
+    mean = sample.values.mean(axis=0)
+    d = sample.values - mean
+    e = np.frexp(np.maximum(d.max(axis=0), -d.min(axis=0)))[1]
+    np.ldexp(d, -e, out=d)
+    rows = [np.ldexp(mean, -e)]
+    power = d.copy()
+    for _ in range(1, len(t.orders)):
+        power *= d
+        rows.append(power.mean(axis=0))
+    c = np.stack(rows)
+    _check_guard(t.name, t.central_guard(c), sample.grid)
+    return d, e, c
 
 
 def delta_residuals(t: Transformation, sample: FunctionalSample) -> DeltaResidualSet:
     """Transformed residual curves for H applied to the sample's moments.
 
-    residuals[n, t] = grad H(moments(s_t)) . (per-order moment residuals);
-    the rows sum to zero at every grid point.  estimate is H at the sample
-    moments and se the plug-in standard error of that estimate, i.e.
-    sqrt(N^-1 sum_n residual_n(s)^2) / sqrt(N).
+    residuals[n, t] = grad_c H . psi_n(s_t), the empirical influence
+    function of H; the rows sum to zero at every grid point.  estimate is H
+    at the sample moments and se the plug-in standard error of that
+    estimate, i.e. sqrt(N^-1 sum_n residual_n(s)^2) / sqrt(N).  All three
+    are formed in the scaled frame and brought back with ldexp.
     """
-    est_m = pointwise_moments(sample, t.orders)
-    _check_guard(t, est_m.values, sample.grid)
-    grad = t.gradient(est_m.values)
-    res = moment_residuals(sample, t.orders)
-    residuals = np.einsum("kt,knt->nt", grad, res.values)
-    estimate = t.value(est_m.values)
+    d, e, c = _scaled_frame(t, sample)
+    value, grad, _ = t.central(c)
+    # grad . psi as a polynomial in d: coef[r-1] multiplies d^r, and the
+    # -r m_{r-1} d and -m_r terms of psi_r go to d^1 and d^0.
+    k = len(t.orders)
+    coef = grad.copy()
+    for r in range(3, k + 1):
+        coef[0] -= r * grad[r - 1] * c[r - 2]
+    res = coef[k - 1] * d
+    for r in range(k - 1, 0, -1):
+        res += coef[r - 1]
+        res *= d
+    res -= np.einsum("rp,rp->p", grad[1:], c[1:])
+    scale = t.degree * e
+    se = np.ldexp(_plugin_se(res, sample.n), scale)
     return DeltaResidualSet(
         grid=sample.grid,
-        residuals=residuals,
-        estimate=Curve(sample.grid, estimate),
-        se=Curve(sample.grid, _plugin_se(residuals, sample.n)),
+        residuals=np.ldexp(res, scale, out=res),
+        estimate=Curve(sample.grid, np.ldexp(value, scale)),
+        se=Curve(sample.grid, se),
         transformation=t.name,
         n=sample.n,
     )
@@ -548,22 +472,27 @@ def se_estimate(drs: DeltaResidualSet) -> Curve:
 def bias_estimate(t: Transformation, sample: FunctionalSample) -> Curve:
     """Second-order plug-in bias of H(sample moments).
 
-    (2N)^-1 sum_{k,k'} d2H/dm_k dm_k' (moments) *
-    (moment of order r_k + r_k' - product of the order r_k, r_k' moments).
-    Identically zero for linear H.
+    In the scaled frame, (2N)^-1 sum_{r,s} d2H/dc_r dc_s cov(psi_r, psi_s)
+    + N^-1 sum_r dH/dc_r b_r, where b_r = r(r-1)/2 m_{r-2} m2 - r m_r
+    (b_1 = 0) is the second-order bias of the central moment m_r.  This is
+    exactly the raw expansion (2N)^-1 sum_{j,k} d2H/da_j da_k (a_{j+k} -
+    a_j a_k) in the raw moments a.  Identically zero for linear H.
     """
-    est_m = pointwise_moments(sample, t.orders)
-    _check_guard(t, est_m.values, sample.grid)
-    hess = t.hessian(est_m.values)
-    orders = t.orders.orders
-    pair_orders = sorted({a + b for a in orders for b in orders})
-    pair_m = pointwise_moments(sample, MomentOrders(tuple(pair_orders)))
-    pair_lookup = {r: pair_m.values[i] for i, r in enumerate(pair_orders)}
-    acc = np.zeros(len(sample.grid))
-    for i, ri in enumerate(orders):
-        for j, rj in enumerate(orders):
-            acc += hess[i, j] * (pair_lookup[ri + rj] - est_m.values[i] * est_m.values[j])
-    return Curve(sample.grid, acc / (2.0 * sample.n))
+    d, e, c = _scaled_frame(t, sample)
+    _, grad, hess = t.central(c)
+    k = len(t.orders)
+    m = [1.0, 0.0, *c[1:]]
+    psi = [d]
+    power = d.copy()
+    for r in range(2, k + 1):
+        power *= d
+        psi.append(power - m[r] - r * m[r - 1] * d)
+    n = sample.n
+    acc = sum(hess[r, s] * np.einsum("np,np->p", psi[r], psi[s]) for r in range(k) for s in range(k))
+    acc = acc / (2.0 * n * n) + sum(
+        grad[r - 1] * (r * (r - 1) / 2 * m[r - 2] * m[2] - r * m[r]) for r in range(2, k + 1)
+    ) / n
+    return Curve(sample.grid, np.ldexp(acc, t.degree * e))
 
 
 # --------------------------------------------------------------------------

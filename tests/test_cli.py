@@ -1,3 +1,4 @@
+from fdbands import cli
 from fdbands.cli import main
 from fdbands.fdata import read_sample_csv
 
@@ -77,6 +78,19 @@ def test_verify_subcommand(tmp_path):
     out = tmp_path / "oracle.csv"
     assert main(["verify", "--oracle", "bessel", "--out", str(out)]) == 0
     assert "bessel_k" in out.read_text()
+
+
+def test_coverage_without_a_truth_curve_exits_one_before_any_work(tmp_path, monkeypatch):
+    def no_run(cfg):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(cli, "run_coverage", no_run)
+    out = tmp_path / "cov.csv"
+    for statistic in ("skewness_z", "kurtosis_z"):
+        cfg = tmp_path / f"{statistic}.cfg"
+        cfg.write_text(f"model = C\nstatistic = {statistic}\noutput = {out}\n")
+        assert main(["coverage", "--config", str(cfg)]) == 1
+    assert not out.exists()
 
 
 def test_exit_code_one_on_bad_arguments(tmp_path):

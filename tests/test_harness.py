@@ -115,6 +115,12 @@ def test_config_rejects_what_used_to_fail_in_the_run(overrides, message):
         ExperimentConfig(**overrides)
 
 
+@pytest.mark.parametrize("statistic", ["skewness_z", "kurtosis_z"])
+def test_config_rejects_a_statistic_without_a_truth_curve(statistic):
+    with pytest.raises(NotAvailable, match=rf"^no closed-form {statistic} truth for model C$"):
+        ExperimentConfig(model="C", statistic=statistic)
+
+
 def test_config_bootstrap_b_only_matters_to_bootstrap_methods():
     assert ExperimentConfig(methods=("gkf", "tgkf"), bootstrap_b=50).bootstrap_b == 50
 

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from fdbands import (
     Curve,
     DomainGuardViolation,
     FunctionalSample,
     Grid,
+    ModelSpec,
+    NonFiniteValue,
     NotAvailable,
     SampleTooSmall,
     bias_estimate,
@@ -19,11 +22,15 @@ from fdbands import (
     gaussian_se_g1,
     gaussian_se_g2,
     get_transformation,
+    moment_residuals,
     pointwise_moments,
+    sample_model,
     se_estimate,
+    StreamKey,
     ZTransformParams,
     z_params,
 )
+from fdbands.moments import MomentOrders
 from fdbands.transforms import TRANSFORMATION_NAMES, Z1Params, Z2Params, min_sample_size
 from fdbands.verify import finite_diff_grad, finite_diff_jacobian
 
@@ -380,3 +387,136 @@ def test_z_composite_gradient_is_chain_rule():
     g = float(t_inner.value(m))
     want = np.asarray(p.derivative(g)) * t_inner.gradient(m)
     assert t_outer.gradient(m) == pytest.approx(want, rel=1e-13)
+
+
+# --------------------------------------------------------------------------
+# invariances of the residual calculus (property tests)
+# --------------------------------------------------------------------------
+
+EPS = np.finfo(float).eps
+SCALE_FREE = ("cohens_d", "skewness", "kurtosis", "skewness_z", "kurtosis_z")
+
+
+@st.composite
+def _curves(draw):
+    """An N x T sample, Gaussian or skewed, with sd of order one in every column."""
+    n = draw(st.integers(20, 60))
+    width = draw(st.integers(2, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.standard_normal((n, width))
+    if draw(st.booleans()):
+        values += rng.standard_exponential((n, width)) - 1.0
+    return values * draw(st.floats(0.5, 2.0))
+
+
+def _drs(name, values):
+    sample = FunctionalSample(Grid(np.linspace(0.0, 1.0, values.shape[1])), values)
+    t = get_transformation(name, values.shape[0])
+    return delta_residuals(t, sample), bias_estimate(t, sample)
+
+
+def _close(got, want, tol):
+    return np.max(np.abs(got - want)) <= tol * max(1.0, np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("name", ["variance", "skewness", "kurtosis", "skewness_z", "kurtosis_z"])
+@given(values=_curves(), offset=st.floats(-1e5, 1e5))
+def test_shift_invariance(name, values, offset):
+    # adding the offset rounds every value by up to |offset| eps / 2, so the
+    # tolerance scales with offset * eps / sd
+    tol = 1e3 * EPS * (1.0 + abs(offset) / values.std(axis=0).min())
+    base, base_bias = _drs(name, values)
+    moved, moved_bias = _drs(name, values + offset)
+    assert _close(moved.estimate.values, base.estimate.values, tol)
+    assert _close(moved.residuals, base.residuals, tol)
+    assert _close(moved.se.values, base.se.values, tol)
+    assert _close(moved_bias.values, base_bias.values, tol)
+
+
+@pytest.mark.parametrize("name", SCALE_FREE)
+@given(values=_curves(), power=st.integers(-600, 600))
+def test_power_of_two_scales_change_no_bit(name, values, power):
+    base, base_bias = _drs(name, values)
+    scaled, scaled_bias = _drs(name, np.ldexp(values, power))
+    assert np.array_equal(scaled.estimate.values, base.estimate.values)
+    assert np.array_equal(scaled.residuals, base.residuals)
+    assert np.array_equal(scaled.se.values, base.se.values)
+    assert np.array_equal(scaled_bias.values, base_bias.values)
+
+
+@pytest.mark.parametrize("name,degree", [("mean", 1), ("variance", 2)])
+@given(values=_curves(), power=st.integers(-600, 600))
+def test_mean_and_variance_are_ldexp_equivariant(name, degree, values, power):
+    # a Curve holds finite values only, so an estimate or se that overflows
+    # raises; the mean never does at these scales
+    base, base_bias = _drs(name, values)
+    with np.errstate(over="ignore"):
+        overflows = not np.all(np.isfinite(np.ldexp(base.estimate.values, degree * power)))
+    if overflows:
+        assert name == "variance"
+        with pytest.raises(NonFiniteValue):
+            _drs(name, np.ldexp(values, power))
+        return
+    scaled, scaled_bias = _drs(name, np.ldexp(values, power))
+    pairs = [
+        (scaled.estimate.values, base.estimate.values),
+        (scaled.residuals, base.residuals),
+        (scaled.se.values, base.se.values),
+        (scaled_bias.values, base_bias.values),
+    ]
+    for got, want in pairs:
+        finite = np.isfinite(got)
+        with np.errstate(over="ignore"):
+            want = np.ldexp(want, degree * power)
+        assert np.array_equal(got[finite], want[finite])
+
+
+@pytest.mark.parametrize("name", TRANSFORMATION_NAMES)
+@given(values=_curves(), seed=st.integers(0, 2**32 - 1))
+def test_permuting_the_curves(name, values, seed):
+    perm = np.random.default_rng(seed).permutation(values.shape[0])
+    base, base_bias = _drs(name, values)
+    shuffled, shuffled_bias = _drs(name, values[perm])
+    tol = 1e-12
+    assert _close(shuffled.estimate.values, base.estimate.values, tol)
+    assert _close(shuffled.residuals, base.residuals[perm], tol)
+    assert _close(shuffled.se.values, base.se.values, tol)
+    assert _close(shuffled_bias.values, base_bias.values, tol)
+
+
+@pytest.mark.parametrize("name", TRANSFORMATION_NAMES)
+@given(values=_curves(), offset=st.floats(-1e5, 1e5))
+def test_residuals_sum_to_zero_at_any_offset(name, values, offset):
+    drs, _ = _drs(name, values + offset)
+    n = values.shape[0]
+    tol = 1e2 * n * EPS * (1.0 + abs(offset) / values.std(axis=0).min())
+    assert np.all(np.abs(drs.residuals.sum(axis=0)) <= tol * np.max(np.abs(drs.residuals), axis=0))
+
+
+@pytest.mark.parametrize("model", ["A", "B", "C"])
+@pytest.mark.parametrize("name", TRANSFORMATION_NAMES)
+def test_centered_route_matches_the_raw_route(model, name):
+    # the raw route: grad H in raw moments against the raw moment residuals,
+    # and the raw second-order bias with pair moments up to order 2K
+    sample = sample_model(ModelSpec(model), 200, Grid.equispaced(50), StreamKey(41))
+    t = get_transformation(name, 200)
+    raw = pointwise_moments(sample, t.orders).values
+    residuals = np.einsum("kt,knt->nt", t.gradient(raw), moment_residuals(sample, t.orders).values)
+    orders = t.orders.orders
+    pair = pointwise_moments(sample, MomentOrders(tuple(range(1, 2 * orders[-1] + 1)))).values
+    hess = t.hessian(raw)
+    bias = sum(
+        hess[i, j] * (pair[ri + rj - 1] - raw[i] * raw[j])
+        for i, ri in enumerate(orders)
+        for j, rj in enumerate(orders)
+    ) / (2.0 * sample.n)
+    drs = delta_residuals(t, sample)
+    want = [
+        (drs.estimate.values, t.value(raw)),
+        (drs.residuals, residuals),
+        (drs.se.values, np.sqrt(np.mean(residuals**2, axis=0) / sample.n)),
+        (bias_estimate(t, sample).values, bias),
+    ]
+    for got, raw_route in want:
+        scale = max(np.max(np.abs(raw_route)), 1e-300)
+        assert np.max(np.abs(got - raw_route)) <= 1e-10 * scale
