@@ -18,13 +18,13 @@ from .errors import (
     SampleTooSmall,
     UnsupportedOrder,
 )
-from .fdata import Grid, read_sample_csv, write_sample_csv
+from .fdata import Grid, csv_row, read_sample_csv, write_csv, write_sample_csv
 from .harness import ExperimentConfig, band_curves, run_coverage
 from .quantile import QUANTILE_METHODS, estimate_quantile
-from .rng import StreamKey
-from .scb import GAUSS_TEST_STATISTICS, SE_MODES, gauss_test
+from .rng import METHOD_DRAW, NOISE_DRAW, SAMPLE_DRAW, StreamKey
+from .scb import SE_MODES, gauss_test
 from .simmodels import MODEL_A_BANDWIDTH, ModelSpec, add_observation_noise, sample_model
-from .transforms import TRANSFORMATION_NAMES, delta_residuals, get_transformation
+from .transforms import GAUSSIAN_NULL_STATISTICS, TRANSFORMATION_NAMES, delta_residuals, get_transformation
 from .verify import ORACLES, run_oracles, write_oracle_csv
 
 _CONFIG_ERRORS = (ConfigError, NotAvailable, SampleTooSmall, UnsupportedOrder)
@@ -58,7 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="write a one-row CSV instead of stdout")
 
     p = sub.add_parser("gauss-test", help="test Gaussianity through skewness/kurtosis bands")
-    _sample_statistic_args(p, statistics=GAUSS_TEST_STATISTICS, default_stat="skewness_z")
+    _sample_statistic_args(p, statistics=GAUSSIAN_NULL_STATISTICS, default_stat="skewness_z")
     p.add_argument("--se-mode", choices=list(SE_MODES), default="gaussian_exact")
     p.add_argument("--bias", action="store_true")
     p.add_argument("--out", default=None)
@@ -90,8 +90,8 @@ def _sample_statistic_args(p, statistics=TRANSFORMATION_NAMES, default_stat="coh
 def _cmd_simulate(args) -> int:
     spec = ModelSpec(args.model, bandwidth=args.bandwidth, jitter=args.jitter)
     grid = Grid.equispaced(args.t)
-    sample = sample_model(spec, args.n, grid, StreamKey(args.seed, 0, 0))
-    sample = add_observation_noise(sample, args.noise_sigma, StreamKey(args.seed, 0, 1))
+    sample = sample_model(spec, args.n, grid, StreamKey(args.seed, 0, SAMPLE_DRAW))
+    sample = add_observation_noise(sample, args.noise_sigma, StreamKey(args.seed, 0, NOISE_DRAW))
     write_sample_csv(sample, args.out)
     print(f"wrote {sample.n} curves x {sample.t} points to {args.out}", file=sys.stderr)
     return 0
@@ -105,17 +105,13 @@ def _cmd_band(args) -> int:
         method=args.method,
         alpha=args.alpha,
         b=args.b,
-        key=StreamKey(args.seed, 0, 2),
+        key=StreamKey(args.seed, 0, METHOD_DRAW),
         se_mode=args.se_mode,
         bias_correction=args.bias,
     )
-    with open(args.out, "w", newline="\n") as fh:
-        fh.write("s,center,lower,upper,q,method\n")
-        for i, s in enumerate(band.grid.points):
-            fh.write(
-                f"{s:.17g},{band.center.values[i]:.17g},{band.lower.values[i]:.17g},"
-                f"{band.upper.values[i]:.17g},{band.q.q:.17g},{band.q.method}\n"
-            )
+    columns = (band.grid.points, band.center.values, band.lower.values, band.upper.values)
+    rows = ((*cells, band.q.q, band.q.method) for cells in zip(*(c.tolist() for c in columns)))
+    write_csv(args.out, "s,center,lower,upper,q,method", rows)
     print(f"wrote band ({args.stat}, {band.q.method}, q={band.q.q:.4f}) to {args.out}", file=sys.stderr)
     return 0
 
@@ -124,13 +120,12 @@ def _cmd_quantile(args) -> int:
     sample = read_sample_csv(args.infile)
     t = get_transformation(args.stat, sample.n)
     drs = delta_residuals(t, sample)
-    q = estimate_quantile(drs, args.method, args.alpha, b=args.b, key=StreamKey(args.seed, 0, 2))
+    key = StreamKey(args.seed, 0, METHOD_DRAW)
+    q = estimate_quantile(drs, args.method, args.alpha, b=args.b, key=key)
     if args.out:
-        with open(args.out, "w", newline="\n") as fh:
-            fh.write("statistic,method,alpha,q\n")
-            fh.write(f"{args.stat},{q.method},{q.alpha:.17g},{q.q:.17g}\n")
+        write_csv(args.out, "statistic,method,alpha,q", [(args.stat, q.method, q.alpha, q.q)])
     else:
-        print(f"{q.q:.17g}")
+        print(csv_row([q.q]))
     return 0
 
 
@@ -143,19 +138,17 @@ def _cmd_gauss_test(args) -> int:
         quantile_method=args.method,
         se_mode=args.se_mode,
         b=args.b,
-        key=StreamKey(args.seed, 0, 2),
+        key=StreamKey(args.seed, 0, METHOD_DRAW),
         bias_correction=args.bias,
     )
-    line = (
-        f"{result.statistic},{result.quantile.method},{result.alpha:.17g},"
-        f"{result.max_stat:.17g},{result.threshold:.17g},{str(result.reject).lower()}"
+    row = (
+        result.statistic, result.quantile.method, result.alpha,
+        result.max_stat, result.threshold, result.reject,
     )
     if args.out:
-        with open(args.out, "w", newline="\n") as fh:
-            fh.write("statistic,method,alpha,max_stat,threshold,reject\n")
-            fh.write(line + "\n")
+        write_csv(args.out, "statistic,method,alpha,max_stat,threshold,reject", [row])
     else:
-        print(line)
+        print(csv_row(row))
     print(
         f"{'reject' if result.reject else 'retain'} Gaussianity at alpha={result.alpha:g} "
         f"(max={result.max_stat:.4f}, threshold={result.threshold:.4f})",

@@ -6,7 +6,7 @@ can be shared freely across worker processes and threads.
 
 CSV layout: line 1 holds the comma-separated grid coordinates, lines 2..N+1
 one curve each.  Values are written with 17 significant digits so that a
-write/read round trip is bit-exact.
+write/read round trip is bit-exact.  write_csv writes every result CSV.
 """
 
 from __future__ import annotations
@@ -53,17 +53,10 @@ class Grid:
     def __eq__(self, other) -> bool:
         return isinstance(other, Grid) and np.array_equal(self.points, other.points)
 
-    @property
-    def lower(self) -> float:
-        return float(self.points[0])
-
-    @property
-    def upper(self) -> float:
-        return float(self.points[-1])
-
     @classmethod
-    def equispaced(cls, t: int, lower: float = 0.0, upper: float = 1.0) -> "Grid":
-        return cls(np.linspace(lower, upper, t))
+    def equispaced(cls, t: int) -> "Grid":
+        """t equally spaced points on [0, 1]."""
+        return cls(np.linspace(0.0, 1.0, t))
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,9 +97,6 @@ class FunctionalSample:
     def t(self) -> int:
         return self.values.shape[1]
 
-    def curve(self, index: int) -> Curve:
-        return Curve(self.grid, self.values[index])
-
 
 def validate(sample: FunctionalSample) -> None:
     """Raise unless every FunctionalSample invariant holds.
@@ -146,6 +136,26 @@ def write_sample_csv(sample: FunctionalSample, path) -> None:
         fh.write(row_format % tuple(sample.grid.points.tolist()))
         for row in sample.values.tolist():
             fh.write(row_format % tuple(row))
+
+
+def _cell(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return f"{value:.17g}" if isinstance(value, float) else str(value)
+
+
+def csv_row(cells) -> str:
+    """One result-CSV line without its newline: floats as %.17g (a bit-exact
+    round trip), booleans as true/false, anything else as str."""
+    return ",".join(map(_cell, cells))
+
+
+def write_csv(path, header: str, rows) -> None:
+    """Write a result CSV: the header line, then one csv_row per row, LF endings."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(csv_row(row) + "\n")
 
 
 def _parse_lines(path) -> tuple[Grid, list[list[float]]]:

@@ -6,8 +6,7 @@ contains the model's analytic truth curve at every grid point.  Replicates
 are independent tasks keyed by (master seed, replicate index); aggregation
 only counts, so the output CSV is byte-identical for any worker count.
 
-Replicate stream layout: draw 0 generates the sample, draw 1 the optional
-observation noise, draw 2 + i the bootstrap multipliers of method i.
+Replicate streams follow the draw-counter layout named in rng.py.
 
 Config files are flat `key = value` lines with '#' comments; see
 ExperimentConfig.from_text for the key set.
@@ -20,23 +19,24 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
 from .blas import set_blas_threads
 from .errors import ConfigError, DomainGuardViolation, NotAvailable
-from .fdata import Curve, FunctionalSample, Grid
+from .fdata import Curve, FunctionalSample, Grid, write_csv
 from .quantile import (
     BOOTSTRAP_METHODS,
     GKF_METHODS,
     QUANTILE_METHODS,
+    check_alpha,
     check_bootstrap_b,
     check_gkf_alpha,
     estimate_quantile,
     import_deferred,
 )
-from .rng import StreamKey
+from .rng import METHOD_DRAW, NOISE_DRAW, SAMPLE_DRAW, StreamKey
 from .scb import SE_MODES, check_gaussian_exact, construct_scb, covers, gaussian_exact_null
 from .simmodels import (
     MODEL_A_BANDWIDTH,
@@ -103,8 +103,7 @@ class ExperimentConfig:
             check_gaussian_exact(self.bias_correction)
         if self.replicates < 100:
             raise ConfigError(f"need at least 100 replicates, got {self.replicates}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ConfigError(f"alpha must be in (0, 1), got {self.alpha}")
+        check_alpha(self.alpha)
         if any(m in GKF_METHODS for m in self.methods):
             check_gkf_alpha(self.alpha)
         if any(m in BOOTSTRAP_METHODS for m in self.methods):
@@ -277,19 +276,8 @@ class CoverageReport:
         "n,t,replicates,successes,guard_violations,coverage,mc_se"
     )
 
-    def to_csv_text(self) -> str:
-        lines = [self.CSV_HEADER]
-        for r in self.rows:
-            lines.append(
-                f"{r.model},{r.statistic},{r.method},{r.se_mode},"
-                f"{str(r.bias_correction).lower()},{r.n},{r.t},{r.replicates},"
-                f"{r.successes},{r.guard_violations},{r.coverage:.17g},{r.mc_se:.17g}"
-            )
-        return "\n".join(lines) + "\n"
-
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="\n") as fh:
-            fh.write(self.to_csv_text())
+        write_csv(path, self.CSV_HEADER, map(astuple, self.rows))
 
 
 # --------------------------------------------------------------------------
@@ -327,9 +315,9 @@ def _cells(cfg: ExperimentConfig) -> tuple[_Cell, ...]:
 
 def _replicate(cfg: ExperimentConfig, cell: _Cell, rep: int):
     """Run one replicate; returns (covered per method) or None on a guard trip."""
-    sample = sample_model(cell.spec, cell.n, cell.grid, StreamKey(cfg.seed, rep, 0))
+    sample = sample_model(cell.spec, cell.n, cell.grid, StreamKey(cfg.seed, rep, SAMPLE_DRAW))
     if cfg.noise_sigma > 0.0:
-        sample = add_observation_noise(sample, cfg.noise_sigma, StreamKey(cfg.seed, rep, 1))
+        sample = add_observation_noise(sample, cfg.noise_sigma, StreamKey(cfg.seed, rep, NOISE_DRAW))
     try:
         drs = delta_residuals(cell.transformation, sample)
         se = drs.se if cell.known_se is None else cell.known_se
@@ -337,10 +325,9 @@ def _replicate(cfg: ExperimentConfig, cell: _Cell, rep: int):
         bias = bias_estimate(cell.transformation, sample) if cfg.bias_correction else cell.known_bias
         flags = []
         for i, method in enumerate(cfg.methods):
-            q = estimate_quantile(
-                drs, method, cfg.alpha, b=cfg.bootstrap_b, key=StreamKey(cfg.seed, rep, 2 + i)
-            )
-            band = construct_scb(drs.estimate, se, q, bias=bias, se_mode=cfg.se_mode)
+            key = StreamKey(cfg.seed, rep, METHOD_DRAW + i)
+            q = estimate_quantile(drs, method, cfg.alpha, b=cfg.bootstrap_b, key=key)
+            band = construct_scb(drs.estimate, se, q, bias=bias)
             flags.append(covers(band, cell.truth))
         return tuple(flags)
     except DomainGuardViolation:
@@ -478,4 +465,4 @@ def band_curves(
     else:
         se = drs.se
         bias = bias_estimate(t, sample) if bias_correction else None
-    return construct_scb(drs.estimate, se, q, bias=bias, se_mode=se_mode)
+    return construct_scb(drs.estimate, se, q, bias=bias)

@@ -32,7 +32,14 @@ from .fdata import Curve, Grid
 from .rng import StreamKey
 from .transforms import DeltaResidualSet
 
-BOOTSTRAP_METHODS = ("mult", "rmult", "tmult", "rtmult")
+# bootstrap method name -> (multiplier kind, studentize)
+_MULTIPLIERS = {
+    "mult": ("gaussian", "plain"),
+    "rmult": ("rademacher", "plain"),
+    "tmult": ("gaussian", "t"),
+    "rtmult": ("rademacher", "t"),
+}
+BOOTSTRAP_METHODS = tuple(_MULTIPLIERS)
 GKF_METHODS = ("gkf", "tgkf")
 QUANTILE_METHODS = BOOTSTRAP_METHODS + GKF_METHODS
 
@@ -71,18 +78,15 @@ class MultiplierConfig:
 
     @property
     def method_name(self) -> str:
-        if self.kind == "gaussian":
-            return "tmult" if self.studentize == "t" else "mult"
-        return "rtmult" if self.studentize == "t" else "rmult"
+        return next(m for m, ks in _MULTIPLIERS.items() if ks == (self.kind, self.studentize))
 
 
 @dataclass(frozen=True)
 class GkfConfig:
-    """Euler-characteristic expansion settings for a 1-d interval domain."""
+    """Euler-characteristic expansion settings for an interval (L0 = 1, L1 = l1)."""
 
     field_kind: str = "gaussian"
     nu: float | None = None
-    l0: int = 1
     l1: float = 0.0
 
     def __post_init__(self):
@@ -90,8 +94,6 @@ class GkfConfig:
             raise ConfigError(f"field_kind must be gaussian|t, got {self.field_kind!r}")
         if self.field_kind == "t" and (self.nu is None or self.nu <= 0):
             raise ConfigError("t field needs positive degrees of freedom nu")
-        if self.l0 < 1:
-            raise ConfigError("l0 (Euler characteristic) must be >= 1")
         if not math.isfinite(self.l1) or self.l1 < 0:
             raise ConfigError("l1 must be finite and nonnegative")
 
@@ -107,7 +109,8 @@ class QuantileEstimate:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _check_alpha(alpha: float) -> None:
+def check_alpha(alpha: float) -> None:
+    """A quantile level alpha lies in (0, 1)."""
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
 
@@ -183,7 +186,7 @@ def bootstrap_quantile(drs: DeltaResidualSet, cfg: MultiplierConfig, alpha: floa
     g_n^2 = 1, so their t statistic uses the column sums of the squared
     residuals instead of a product per block.
     """
-    _check_alpha(alpha)
+    check_alpha(alpha)
     residuals = drs.residuals
     n, t = residuals.shape
     if not np.any(residuals):
@@ -303,11 +306,7 @@ def ec_density(d: int, u, field_kind: str = "gaussian", nu: float | None = None)
     """
     if d not in (0, 1):
         raise DegreeOutOfRange(f"ec_density supports d in {{0, 1}}, got {d}")
-    if field_kind == "t":
-        if nu is None or nu <= 0:
-            raise ConfigError("t field needs positive degrees of freedom nu")
-    elif field_kind != "gaussian":
-        raise ConfigError(f"field_kind must be gaussian|t, got {field_kind!r}")
+    GkfConfig(field_kind, nu)  # raises on a bad field_kind or nu
     u = np.asarray(u, dtype=float)
     out = np.array([_ec_terms(float(x), field_kind, nu)[d] for x in u.flat]).reshape(u.shape)
     return out if out.ndim else float(out)
@@ -336,13 +335,14 @@ def estimate_lkc1(residuals: np.ndarray, se: Curve, grid: Grid) -> float:
 
 
 def gkf_quantile(cfg: GkfConfig, alpha: float) -> QuantileEstimate:
-    """Solve l0 rho_0(q) + l1 rho_1(q) = alpha / 2 on the branch q >= 1.
+    """Solve rho_0(q) + l1 rho_1(q) = alpha / 2 on the branch q >= 1.
 
-    alpha/2 because the two-sided band bounds the maximum of |field| and
-    the limiting field is symmetric.  The expansion's left side is strictly
-    decreasing in q, so the root in [1, 50] is unique; it is found by
-    Newton steps from q = 1 with the closed-form derivative, falling back
-    to bisection of the shrinking bracket whenever a step would leave it.
+    rho_0 has no factor: L0 = 1 for an interval.  alpha/2 because the
+    two-sided band bounds the maximum of |field| and the limiting field is
+    symmetric.  The expansion's left side is strictly decreasing in q, so
+    the root in [1, 50] is unique; it is found by Newton steps from q = 1
+    with the closed-form derivative, falling back to bisection of the
+    shrinking bracket whenever a step would leave it.
     An alpha outside the branch is reported, never clamped.
     """
     check_gkf_alpha(alpha)
@@ -350,7 +350,7 @@ def gkf_quantile(cfg: GkfConfig, alpha: float) -> QuantileEstimate:
 
     def expansion(u: float) -> tuple[float, float]:
         rho0, rho1, drho0, drho1 = _ec_terms(u, cfg.field_kind, cfg.nu)
-        return cfg.l0 * rho0 + cfg.l1 * rho1, cfg.l0 * drho0 + cfg.l1 * drho1
+        return rho0 + cfg.l1 * rho1, drho0 + cfg.l1 * drho1
 
     def close(a: float, b: float) -> bool:
         return abs(a - b) <= _ROOT_XTOL + _ROOT_RTOL * abs(a)
@@ -386,7 +386,7 @@ def gkf_quantile(cfg: GkfConfig, alpha: float) -> QuantileEstimate:
         q=q,
         alpha=alpha,
         method="gkf" if cfg.field_kind == "gaussian" else "tgkf",
-        config={"field_kind": cfg.field_kind, "nu": cfg.nu, "l0": cfg.l0, "l1": cfg.l1},
+        config={"field_kind": cfg.field_kind, "nu": cfg.nu, "l1": cfg.l1},
         diagnostics={"residual": residual},
     )
 
@@ -407,12 +407,7 @@ def estimate_quantile(
     if method in BOOTSTRAP_METHODS:
         if key is None:
             raise ConfigError(f"method {method!r} needs a StreamKey")
-        kind, studentize = {
-            "mult": ("gaussian", "plain"),
-            "rmult": ("rademacher", "plain"),
-            "tmult": ("gaussian", "t"),
-            "rtmult": ("rademacher", "t"),
-        }[method]
+        kind, studentize = _MULTIPLIERS[method]
         cfg = MultiplierConfig(kind=kind, studentize=studentize, b=b, key=key)
         return bootstrap_quantile(drs, cfg, alpha)
     if method in GKF_METHODS:

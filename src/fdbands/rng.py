@@ -16,6 +16,12 @@ import numpy as np
 _U64 = np.uint64
 _MOD = 2**64
 
+# Draw counters within one (seed, replicate): the sample, its observation
+# noise, and the bootstrap multipliers of quantile method i at METHOD_DRAW + i.
+SAMPLE_DRAW = 0
+NOISE_DRAW = 1
+METHOD_DRAW = 2
+
 
 @dataclass(frozen=True)
 class StreamKey:

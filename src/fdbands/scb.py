@@ -34,7 +34,6 @@ from .transforms import (
     min_sample_size,
 )
 
-GAUSS_TEST_STATISTICS = GAUSSIAN_NULL_STATISTICS
 SE_MODES = ("estimated", "gaussian_exact")
 
 
@@ -48,7 +47,6 @@ class Scb:
     upper: Curve
     q: QuantileEstimate
     bias_corrected: bool = False
-    se_mode: str = "estimated"
 
 
 @dataclass(frozen=True)
@@ -61,13 +59,7 @@ class GaussTestResult:
     quantile: QuantileEstimate
 
 
-def construct_scb(
-    estimate: Curve,
-    se: Curve,
-    q: QuantileEstimate,
-    bias: Curve | None = None,
-    se_mode: str = "estimated",
-) -> Scb:
+def construct_scb(estimate: Curve, se: Curve, q: QuantileEstimate, bias: Curve | None = None) -> Scb:
     """Band with center = estimate - bias and half-width q * se."""
     grid = estimate.grid
     if len(se.grid) != len(grid) or not np.array_equal(se.grid.points, grid.points):
@@ -87,7 +79,6 @@ def construct_scb(
         upper=Curve(grid, center + half),
         q=q,
         bias_corrected=bias is not None,
-        se_mode=se_mode,
     )
 
 
@@ -137,9 +128,9 @@ def gauss_test(
     so the band event and the reported decision always agree.
     """
     statistic = statistic.strip().lower()
-    if statistic not in GAUSS_TEST_STATISTICS:
+    if statistic not in GAUSSIAN_NULL_STATISTICS:
         raise ConfigError(
-            f"gauss_test statistic must be one of {GAUSS_TEST_STATISTICS}, got {statistic!r}"
+            f"gauss_test statistic must be one of {GAUSSIAN_NULL_STATISTICS}, got {statistic!r}"
         )
     if se_mode not in SE_MODES:
         raise ConfigError(f"se_mode must be one of {SE_MODES}, got {se_mode!r}")
@@ -156,24 +147,19 @@ def gauss_test(
 
     grid = sample.grid
     if se_mode == "gaussian_exact":
-        se, null_mean = gaussian_exact_null(statistic, grid, n, bias_correction)
+        sd, null_mean = gaussian_exact_null(statistic, grid, n, bias_correction)
         centered = drs.estimate.values - null_mean.values
-        max_stat = float(np.max(np.abs(centered)))
-        threshold = q.q * float(se.values[0])
-        band = construct_scb(Curve(grid, centered), se, q, se_mode=se_mode)
     else:
         if np.any(drs.se.values <= 0.0):
             raise ConfigError("estimated se vanished; cannot standardize the test")
         centered = drs.estimate.values
         if bias_correction:
             centered = centered - bias_estimate(transformation, sample).values
-        standardized = centered / drs.se.values
-        max_stat = float(np.max(np.abs(standardized)))
-        threshold = q.q
-        band = construct_scb(
-            Curve(grid, standardized), Curve(grid, np.ones(len(grid))), q, se_mode=se_mode
-        )
-
+        centered = centered / drs.se.values
+        sd = Curve(grid, np.ones(len(grid)))  # threshold q * 1.0 is q exactly
+    max_stat = float(np.max(np.abs(centered)))
+    threshold = q.q * float(sd.values[0])
+    band = construct_scb(Curve(grid, centered), sd, q)
     reject = max_stat > threshold
 
     # The rejection decision must coincide with the band (in the same

@@ -29,8 +29,6 @@ from .errors import ConfigError, NotPositiveDefinite, ShapeMismatch, TooFewCurve
 from .fdata import FunctionalSample, Grid, validate
 from .rng import StreamKey
 
-MODEL_B_SCALE = 0.4  # marginal sd of the Matern-type covariance before normalization
-
 # Jitter ladder for near-PSD correlation matrices: starts at 1e-10,
 # escalates x10 up to 1e-6, then gives up.
 _JITTER_LADDER = (1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
@@ -62,10 +60,6 @@ class ModelSpec:
             raise ConfigError("Model A bandwidth must be positive")
         if self.jitter < 0:
             raise ConfigError("jitter must be nonnegative")
-
-    @classmethod
-    def from_name(cls, name: str) -> "ModelSpec":
-        return cls(kind=name.strip().upper())
 
 
 # --------------------------------------------------------------------------

@@ -309,7 +309,7 @@ def z_params(kind: str, n) -> ZTransformParams:
             return Z1Params(n, c1=math.nan, w=math.nan, scale=Z1_LIMIT_SCALE, rate=Z1_LIMIT_RATE)
         if n < MIN_N["Z1"]:
             raise SampleTooSmall(f"skewness transform needs n >= {MIN_N['Z1']}, got {n:g}")
-        c1 = 6.0 * (n - 2.0) / ((n + 1.0) * (n + 3.0))
+        c1 = _null_var_g1(n)
         c2 = (
             3.0 * (n * n + 27.0 * n - 70.0) * (n + 1.0) * (n + 3.0)
             / ((n - 2.0) * (n + 5.0) * (n + 7.0) * (n + 9.0))
@@ -328,7 +328,7 @@ def z_params(kind: str, n) -> ZTransformParams:
     if n < MIN_N["Z2"]:
         raise SampleTooSmall(f"kurtosis transform needs n >= {MIN_N['Z2']}, got {n:g}")
     b1 = 3.0 * (n - 1.0) / (n + 1.0)
-    b2 = 24.0 * n * (n - 2.0) * (n - 3.0) / ((n + 1.0) ** 2 * (n + 3.0) * (n + 5.0))
+    b2 = _null_var_g2(n)
     sqrt_b3 = (
         6.0 * (n * n - 5.0 * n + 2.0) / ((n + 7.0) * (n + 9.0))
         * math.sqrt(6.0 * (n + 5.0) * (n + 3.0) / (n * (n - 2.0) * (n - 3.0)))
@@ -523,18 +523,26 @@ def _require_n(n: int, minimum: int, what: str) -> None:
         raise SampleTooSmall(f"{what} needs n >= {minimum}, got {n}")
 
 
+def _null_var_g1(n) -> float:
+    """Exact variance of the skewness estimator for Gaussian samples of size n."""
+    return 6.0 * (n - 2.0) / ((n + 1.0) * (n + 3.0))
+
+
+def _null_var_g2(n) -> float:
+    """Exact variance of the excess-kurtosis estimator for Gaussian samples of size n."""
+    return 24.0 * n * (n - 2.0) * (n - 3.0) / ((n + 1.0) ** 2 * (n + 3.0) * (n + 5.0))
+
+
 def gaussian_se_g1(n: int) -> float:
     """Exact sd of the pointwise skewness estimator for Gaussian samples."""
     _require_n(n, MIN_N["gaussian_null"], "gaussian_se_g1")
-    return math.sqrt(6.0 * (n - 2.0) / ((n + 1.0) * (n + 3.0)))
+    return math.sqrt(_null_var_g1(n))
 
 
 def gaussian_se_g2(n: int) -> float:
     """Exact sd of the pointwise excess-kurtosis estimator for Gaussian samples."""
     _require_n(n, MIN_N["gaussian_null"], "gaussian_se_g2")
-    return math.sqrt(
-        24.0 * n * (n - 2.0) * (n - 3.0) / ((n + 1.0) ** 2 * (n + 3.0) * (n + 5.0))
-    )
+    return math.sqrt(_null_var_g2(n))
 
 
 def gaussian_bias_g2(n: int) -> float:

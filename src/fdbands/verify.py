@@ -12,13 +12,13 @@ acceptance runs are scriptable through the CLI.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from .bessel import bessel_k
 from .errors import DomainGuardViolation, UnsupportedOrder
-from .fdata import Curve, Grid
+from .fdata import Curve, Grid, write_csv
 from .moments import MomentOrders, pointwise_moments
 from .rng import StreamKey
 from .simmodels import ModelSpec, model_a_cov, model_amplitude, model_mean, sample_model
@@ -63,13 +63,7 @@ def _report(name, abs_err, rel_err, samples, tol, criterion) -> OracleReport:
 
 def finite_diff_grad(f, x: np.ndarray, h: float = 1e-4) -> np.ndarray:
     """Central-difference gradient of a scalar function of a K-vector."""
-    x = np.asarray(x, dtype=float)
-    out = np.empty(x.size)
-    for k in range(x.size):
-        step = np.zeros_like(x)
-        step[k] = h
-        out[k] = (f(x + step) - f(x - step)) / (2.0 * h)
-    return out
+    return finite_diff_jacobian(lambda v: [f(v)], x, h)[0]
 
 
 def finite_diff_jacobian(g, x: np.ndarray, h: float = 1e-4) -> np.ndarray:
@@ -218,18 +212,12 @@ def _derivative_errors(t: Transformation, points: np.ndarray, h: float = 1e-4):
 def oracle_derivatives(key: StreamKey = StreamKey(1001), points: int = 100) -> list[OracleReport]:
     """FD check of every built-in gradient (tol 1e-6) and Hessian (1e-4)."""
     rng = key.generator()
+    cases = [(name, None, name) for name in ("mean", "variance", "cohens_d", "skewness", "kurtosis")]
+    cases += [(name, n, f"{name}[n={n or 'inf'}]") for n in (60, None) for name in ("skewness_z", "kurtosis_z")]
     reports = []
-    for name in ("mean", "variance", "cohens_d", "skewness", "kurtosis"):
-        t = get_transformation(name)
-        pts = _random_moment_points(t.orders, points, rng)
-        g_rel, h_rel = _derivative_errors(t, pts)
-        reports.append(_report(f"grad[{name}]", g_rel, g_rel, points, 1e-6, "rel"))
-        reports.append(_report(f"hess[{name}]", h_rel, h_rel, points, 1e-4, "rel"))
-    for name, n in (("skewness_z", 60), ("kurtosis_z", 60), ("skewness_z", None), ("kurtosis_z", None)):
+    for name, n, tag in cases:
         t = get_transformation(name, n)
-        pts = _random_moment_points(t.orders, points, rng)
-        g_rel, h_rel = _derivative_errors(t, pts)
-        tag = f"{name}[n={'inf' if n is None else n}]"
+        g_rel, h_rel = _derivative_errors(t, _random_moment_points(t.orders, points, rng))
         reports.append(_report(f"grad[{tag}]", g_rel, g_rel, points, 1e-6, "rel"))
         reports.append(_report(f"hess[{tag}]", h_rel, h_rel, points, 1e-4, "rel"))
     return reports
@@ -303,19 +291,10 @@ ORACLES = {
 }
 
 
-def run_oracles(names, **kwargs) -> list[OracleReport]:
-    reports = []
-    for name in names:
-        fn = ORACLES[name]
-        reports.extend(fn(**kwargs) if kwargs else fn())
-    return reports
+def run_oracles(names) -> list[OracleReport]:
+    return [report for name in names for report in ORACLES[name]()]
 
 
 def write_oracle_csv(reports: list[OracleReport], path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write("name,max_abs_err,max_rel_err,samples,tolerance,criterion,passed\n")
-        for r in reports:
-            fh.write(
-                f"{r.name},{r.max_abs_err:.17g},{r.max_rel_err:.17g},"
-                f"{r.samples},{r.tolerance:.17g},{r.criterion},{str(r.passed).lower()}\n"
-            )
+    header = "name,max_abs_err,max_rel_err,samples,tolerance,criterion,passed"
+    write_csv(path, header, map(astuple, reports))

@@ -1,6 +1,7 @@
 from fdbands import cli
 from fdbands.cli import main
 from fdbands.fdata import read_sample_csv
+from fdbands.verify import OracleReport, write_oracle_csv
 
 
 def test_simulate_writes_valid_sample(tmp_path, capsys):
@@ -122,3 +123,59 @@ def test_exit_code_two_on_undecodable_sample(tmp_path, capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_result_csv_formats_are_pinned_byte_for_byte(tmp_path, capsys):
+    """Exact text of every result format on a fixed 24 x 4 sample: floats
+    as %.17g, booleans as true/false, LF line endings, no trailing blanks."""
+    rows = [",".join(str(((7 * i + 3 * j) % 11 - 5) / 4 + (i * j % 5) / 8) for j in range(4)) for i in range(24)]
+    sample = tmp_path / "s.csv"
+    sample.write_text("0,0.25,0.5,1\n" + "\n".join(rows) + "\n")
+    common = ["--in", str(sample), "--method", "gkf"]
+
+    assert main(["band", *common, "--stat", "cohens_d", "--out", str(tmp_path / "b.csv")]) == 0
+    band = (tmp_path / "b.csv").read_bytes().split(b"\n")
+    assert band[:2] == [
+        b"s,center,lower,upper,q,method",
+        b"0,-0.038836781869030869,-0.58237035211671395,0.50469678837865228,2.6639137952269953,gkf",
+    ]
+    assert len(band) == 6 and band[-1] == b""
+
+    assert main(["quantile", *common, "--stat", "mean", "--out", str(tmp_path / "q.csv")]) == 0
+    assert (tmp_path / "q.csv").read_bytes() == (
+        b"statistic,method,alpha,q\nmean,gkf,0.050000000000000003,2.6596348358772595\n"
+    )
+    capsys.readouterr()
+    assert main(["quantile", *common, "--stat", "mean"]) == 0
+    assert capsys.readouterr().out == "2.6596348358772595\n"
+
+    gauss = [*common, "--stat", "kurtosis"]
+    assert main(["gauss-test", *gauss, "--se-mode", "gaussian_exact", "--out", str(tmp_path / "g.csv")]) == 0
+    assert (tmp_path / "g.csv").read_bytes() == (
+        b"statistic,method,alpha,max_stat,threshold,reject\n"
+        b"kurtosis,gkf,0.050000000000000003,1.0043598160925815,1.9556425031406985,false\n"
+    )
+    capsys.readouterr()
+    assert main(["gauss-test", *gauss, "--se-mode", "estimated"]) == 0
+    assert capsys.readouterr().out == (
+        "kurtosis,gkf,0.050000000000000003,5.6040824387970201,2.6520281384102096,true\n"
+    )
+
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(
+        "model = A\nstatistic = mean\nmethods = gkf\nsample_sizes = 10\ngrid_size = 4\n"
+        "replicates = 100\nseed = 3\nworkers = 1\n"
+    )
+    assert main(["coverage", "--config", str(cfg), "--out", str(tmp_path / "c.csv")]) == 0
+    assert (tmp_path / "c.csv").read_bytes() == (
+        b"model,statistic,method,se_mode,bias_correction,n,t,replicates,successes,"
+        b"guard_violations,coverage,mc_se\n"
+        b"A,mean,gkf,estimated,false,10,4,100,100,0,0.91000000000000003,0.028618176042508364\n"
+    )
+
+    report = OracleReport("grad[mean]", 1.5e-10, 0.1, 100, 1e-6, "rel", True)
+    write_oracle_csv([report], tmp_path / "o.csv")
+    assert (tmp_path / "o.csv").read_bytes() == (
+        b"name,max_abs_err,max_rel_err,samples,tolerance,criterion,passed\n"
+        b"grad[mean],1.5e-10,0.10000000000000001,100,9.9999999999999995e-07,rel,true\n"
+    )
