@@ -9,6 +9,7 @@ Carlo coverage harness with CLI (harness, cli), and independent numerical
 oracles (verify).
 """
 
+from . import blas  # sets the process's heap policy (blas.keep_freed_heap)
 from .errors import (
     ConfigError,
     DegenerateResiduals,

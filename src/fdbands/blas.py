@@ -1,4 +1,4 @@
-"""Thread counts of the OpenBLAS libraries loaded into this process.
+"""Process-level numeric policy: OpenBLAS thread counts and the heap.
 
 numpy and scipy wheels each bundle an OpenBLAS whose exported names may
 carry a "scipy_" prefix and an ILP64 "64_" suffix, for example
@@ -6,6 +6,9 @@ scipy_openblas_set_num_threads64_.  The libraries are found among the
 shared objects mapped into the process and called through ctypes.  Where
 none is found (MKL, Accelerate, a platform without /proc) both functions
 do nothing.
+
+Importing this module (and so `import fdbands`) keeps freed heap in the
+process: see keep_freed_heap.
 """
 
 from __future__ import annotations
@@ -61,3 +64,40 @@ def set_blas_threads(n: int) -> None:
 def blas_thread_counts() -> tuple[int, ...]:
     """Current thread count of each loaded OpenBLAS (empty if none is found)."""
     return tuple(getter() for _, getter in _openblas_functions())
+
+
+# glibc's mallopt parameter numbers, and the values keep_freed_heap sets:
+# 32 MiB is glibc's own ceiling for its dynamic mmap threshold.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_HEAP_POLICY = ((_M_MMAP_THRESHOLD, 32 << 20), (_M_TRIM_THRESHOLD, 64 << 20))
+
+
+def _process_symbols():
+    """The symbols loaded into this process, or None where dlopen(NULL) fails."""
+    try:
+        return ctypes.CDLL(None)
+    except (OSError, TypeError):
+        return None
+
+
+def keep_freed_heap() -> bool:
+    """Serve arrays up to 32 MiB from the heap and keep up to 64 MiB of it freed.
+
+    By default glibc raises its mmap and trim thresholds as blocks are
+    freed, and trims the top of the heap whenever more than the trim
+    threshold is free there, so each replicate's N x T temporaries are
+    handed back to the kernel and faulted in again by the next one.  Fixed
+    thresholds keep the pages in the process up to its own high-water
+    mark.  Both must be set: setting either one turns the dynamic
+    adjustment off.  Returns whether mallopt accepted both; without glibc's
+    mallopt (musl, macOS, Windows) it does nothing and returns False.
+    """
+    mallopt = getattr(_process_symbols(), "mallopt", None)
+    if mallopt is None:
+        return False
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    return all([mallopt(param, value) == 1 for param, value in _HEAP_POLICY])
+
+
+keep_freed_heap()

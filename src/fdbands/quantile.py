@@ -331,7 +331,9 @@ def estimate_lkc1(residuals: np.ndarray, se: Curve, grid: Grid) -> float:
     n = residuals.shape[0]
     normalized = residuals / (math.sqrt(n) * se.values)
     increments = np.diff(normalized, axis=1)
-    return float(np.sum(np.sqrt(np.mean(increments * increments, axis=0))))
+    del normalized
+    increments *= increments
+    return float(np.sum(np.sqrt(np.mean(increments, axis=0))))
 
 
 def gkf_quantile(cfg: GkfConfig, alpha: float) -> QuantileEstimate:
@@ -411,7 +413,7 @@ def estimate_quantile(
         cfg = MultiplierConfig(kind=kind, studentize=studentize, b=b, key=key)
         return bootstrap_quantile(drs, cfg, alpha)
     if method in GKF_METHODS:
-        l1 = estimate_lkc1(drs.residuals, drs.se, drs.grid)
+        l1 = drs.lkc1
         if method == "gkf":
             cfg = GkfConfig(field_kind="gaussian", l1=l1)
         else:

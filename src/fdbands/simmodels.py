@@ -210,13 +210,15 @@ def sample_model(spec: ModelSpec, n: int, grid: Grid, key: StreamKey) -> Functio
     else:
         eta1 = rng.chisquare(1.0, size=(n, 1))
         eta2 = rng.standard_exponential(size=(n, 1))
-        w = (
+        noise = (
             math.sqrt(2.0) / 6.0 * (eta1 - 1.0) * np.sin(np.pi * s)[None, :]
             + 2.0 / 3.0 * (eta2 - 1.0) * (s - 0.5)[None, :]
         )
-        noise = w / np.sqrt(model_c_noise_variance(s))[None, :]
-    values = model_mean(spec.kind, s)[None, :] + model_amplitude(spec.kind, s)[None, :] * noise
-    sample = FunctionalSample(grid, values)
+        noise /= np.sqrt(model_c_noise_variance(s))[None, :]
+    # in place: the same IEEE operations as mean + amplitude * noise
+    noise *= model_amplitude(spec.kind, s)[None, :]
+    noise += model_mean(spec.kind, s)[None, :]
+    sample = FunctionalSample(grid, noise)
     validate(sample)
     return sample
 

@@ -34,6 +34,7 @@ Gaussianity band tests rely on.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -117,6 +118,13 @@ class DeltaResidualSet:
     se: Curve
     transformation: str
     n: int
+
+    @functools.cached_property
+    def lkc1(self) -> float:
+        """quantile.estimate_lkc1 of these residuals, computed once per set."""
+        from . import quantile  # quantile imports this module
+
+        return quantile.estimate_lkc1(self.residuals, self.se, self.grid)
 
 
 def _raw_to_central(a: np.ndarray, order: int):
@@ -389,11 +397,11 @@ def get_transformation(name: str, n=None) -> Transformation:
 # evaluation and residual construction
 # --------------------------------------------------------------------------
 
-def _check_guard(name: str, ok: np.ndarray, grid: Grid) -> None:
+def _check_guard(name: str, ok: np.ndarray, grid: Grid, failure: str = "domain guard fails") -> None:
     if not np.all(ok):
         idx = int(np.argmax(~ok))
         raise DomainGuardViolation(
-            f"{name}: domain guard fails at grid point s={grid.points[idx]:g} (index {idx})"
+            f"{name}: {failure} at grid point s={grid.points[idx]:g} (index {idx})"
         )
 
 
@@ -448,20 +456,25 @@ def delta_residuals(t: Transformation, sample: FunctionalSample) -> DeltaResidua
         res *= d
     res -= np.einsum("rp,rp->p", grad[1:], c[1:])
     scale = t.degree * e
-    se = np.ldexp(_plugin_se(res, sample.n), scale)
+    with np.errstate(over="ignore"):
+        # d is spent: it holds the squares for the se
+        se = np.ldexp(_plugin_se(res, sample.n, out=d), scale)
+        estimate = np.ldexp(value, scale)
+    _check_guard(t.name, np.isfinite(estimate) & np.isfinite(se), sample.grid, "estimate or se overflows")
     return DeltaResidualSet(
         grid=sample.grid,
         residuals=np.ldexp(res, scale, out=res),
-        estimate=Curve(sample.grid, np.ldexp(value, scale)),
+        estimate=Curve(sample.grid, estimate),
         se=Curve(sample.grid, se),
         transformation=t.name,
         n=sample.n,
     )
 
 
-def _plugin_se(residuals: np.ndarray, n: int) -> np.ndarray:
-    """sqrt(N^-1 sum_n residual_n(s)^2) / sqrt(N) at every grid point."""
-    return np.sqrt(np.mean(residuals * residuals, axis=0)) / math.sqrt(n)
+def _plugin_se(residuals: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
+    """sqrt(N^-1 sum_n residual_n(s)^2) / sqrt(N) at every grid point; the
+    squares go to out when given."""
+    return np.sqrt(np.mean(np.multiply(residuals, residuals, out=out), axis=0)) / math.sqrt(n)
 
 
 def se_estimate(drs: DeltaResidualSet) -> Curve:

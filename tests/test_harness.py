@@ -1,7 +1,11 @@
 import _ctypes
 import math
 import os
+import platform
+import subprocess
+import sys
 from dataclasses import astuple, fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +33,8 @@ from fdbands.harness import (
     resolve_workers,
 )
 from fdbands.transforms import gaussian_se_g1
+
+_SRC = str(Path(harness.__file__).resolve().parents[1])
 
 
 # --------------------------------------------------------------------------
@@ -352,6 +358,51 @@ def test_blas_helpers_are_noops_without_openblas(monkeypatch):
         assert blas_thread_counts() == ()
     finally:
         blas._openblas_functions.cache_clear()
+
+
+def test_heap_policy_is_a_noop_without_mallopt(monkeypatch):
+    monkeypatch.setattr(blas, "_process_symbols", lambda: None)
+    assert blas.keep_freed_heap() is False
+    monkeypatch.setattr(blas, "_process_symbols", lambda: _ctypes)
+    assert blas.keep_freed_heap() is False
+
+
+_WARM_REPLICATE_FAULTS = """
+import resource
+from fdbands import (
+    Grid, ModelSpec, StreamKey, construct_scb, delta_residuals, estimate_quantile, get_transformation,
+    sample_model,
+)
+spec, grid, t = ModelSpec("A"), Grid.equispaced(400), get_transformation("skewness_z", 1000)
+
+def replicate(rep):
+    drs = delta_residuals(t, sample_model(spec, 1000, grid, StreamKey(3, rep)))
+    construct_scb(drs.estimate, drs.se, estimate_quantile(drs, "gkf", 0.05))
+
+for rep in range(10):
+    replicate(rep)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for rep in range(10, 30):
+    replicate(rep)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+    reason="the heap policy uses glibc's mallopt",
+)
+def test_warm_replicates_reuse_the_heap():
+    # cli_io-sized replicates (each frees about 10 MB of N x T arrays)
+    # fault in their pages once per process, not once per replicate:
+    # without the policy glibc trims the freed heap and 20 replicates take
+    # about 50,000 minor faults
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([_SRC, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _WARM_REPLICATE_FAULTS], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout.split()[-1]) < 20 * 50
 
 
 def test_model_b_factor_is_built_once_in_the_parent(tmp_path, monkeypatch):

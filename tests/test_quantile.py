@@ -26,6 +26,7 @@ from fdbands import (
     gkf_quantile,
     hermite,
 )
+from fdbands import quantile
 from fdbands.fdata import FunctionalSample
 from fdbands.quantile import _ec_terms, _multiplier_blocks, _plain_factor
 from fdbands.simmodels import ModelSpec, sample_model
@@ -416,6 +417,27 @@ def test_lkc_squared_exponential_reference():
     drs = delta_residuals(get_transformation("mean"), FunctionalSample(grid, x))
     l1 = estimate_lkc1(drs.residuals, drs.se, grid)
     assert abs(l1 - 5.0) <= 0.5
+
+
+def test_lkc1_is_estimated_once_per_residual_set(monkeypatch):
+    calls = []
+    estimate = quantile.estimate_lkc1
+
+    def counting(*args):
+        calls.append(args)
+        return estimate(*args)
+
+    monkeypatch.setattr(quantile, "estimate_lkc1", counting)
+    drs = delta_residuals(
+        get_transformation("kurtosis_z", 40),
+        sample_model(ModelSpec("A"), 40, Grid.equispaced(12), StreamKey(5)),
+    )
+    qs = [estimate_quantile(drs, method, 0.05).q for method in ("gkf", "tgkf", "gkf")]
+    assert len(calls) == 1
+    assert drs.lkc1 == estimate(drs.residuals, drs.se, drs.grid)
+    fresh = replace(drs)
+    assert qs[0] == estimate_quantile(fresh, "gkf", 0.05).q
+    assert len(calls) == 2
 
 
 def test_tgkf_dispatch_uses_heavier_tails():
