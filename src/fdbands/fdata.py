@@ -1,8 +1,9 @@
 """Grid and curve-sample containers, validation, and CSV interchange.
 
 A FunctionalSample is N curves evaluated on one common grid over a compact
-interval.  All containers are immutable (arrays are set read-only), so they
-can be shared freely across worker processes and threads.
+interval.  All containers are immutable (arrays are set read-only) and
+check their invariants when they are built, so they can be shared freely
+across worker processes and threads, and no consumer checks them again.
 
 CSV layout: line 1 holds the comma-separated grid coordinates, lines 2..N+1
 one curve each.  Values are written with 17 significant digits so that a
@@ -25,8 +26,12 @@ from .errors import (
 )
 
 
-def _frozen_array(values, dtype=float) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
+def _frozen_array(values) -> np.ndarray:
+    """values as a read-only float64 array.  A read-only float64 array that
+    owns its data is taken over without a copy: its producer handed it over."""
+    arr = np.asarray(values, dtype=float)
+    if not arr.flags.owndata or (arr is values and arr.flags.writeable):
+        arr = np.array(arr)
     arr.setflags(write=False)
     return arr
 
@@ -85,9 +90,8 @@ class FunctionalSample:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.atleast_2d(np.array(self.values, dtype=float))
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", np.atleast_2d(_frozen_array(self.values)))
+        validate(self)
 
     @property
     def n(self) -> int:
@@ -102,7 +106,7 @@ def validate(sample: FunctionalSample) -> None:
     """Raise unless every FunctionalSample invariant holds.
 
     Checks, in order: matrix layout, N >= 2, grid/value width agreement and
-    finiteness.  Grid invariants are enforced at Grid construction.
+    finiteness.  Every FunctionalSample runs it when it is built.
     """
     vals = sample.values
     if vals.ndim != 2:
@@ -130,7 +134,6 @@ def _parse_row(line: str, lineno: int) -> list[float]:
 
 def write_sample_csv(sample: FunctionalSample, path) -> None:
     """Write grid + curves; values keep full float64 precision."""
-    validate(sample)
     row_format = ",".join(["%.17g"] * sample.t) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(row_format % tuple(sample.grid.points.tolist()))
@@ -195,6 +198,4 @@ def read_sample_csv(path) -> FunctionalSample:
         grid, rows = _parse_lines(path)
     else:
         grid, rows = Grid(table[0]), table[1:]
-    sample = FunctionalSample(grid, rows)
-    validate(sample)
-    return sample
+    return FunctionalSample(grid, rows)

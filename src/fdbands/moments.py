@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeMismatch, UnsupportedOrder
-from .fdata import FunctionalSample, Grid, validate
+from .fdata import FunctionalSample, Grid
 
 MAX_ORDER = 8
 
@@ -77,7 +77,6 @@ def _integer_powers(values: np.ndarray, max_order: int) -> list[np.ndarray]:
 
 def pointwise_moments(sample: FunctionalSample, orders: MomentOrders) -> MomentEstimates:
     """Entry (k, t) = mean over curves of X_n(s_t)^orders[k]."""
-    validate(sample)
     powers = _integer_powers(sample.values, orders.max)
     rows = np.stack([powers[r - 1].mean(axis=0) for r in orders.orders])
     return MomentEstimates(sample.grid, rows, orders, sample.n)
@@ -89,7 +88,6 @@ def moment_residuals(sample: FunctionalSample, orders: MomentOrders) -> Residual
     Residuals sum to zero over n at every grid point and order by
     construction.
     """
-    validate(sample)
     powers = _integer_powers(sample.values, orders.max)
     stacked = np.stack([powers[r - 1] for r in orders.orders])
     return ResidualMatrix(sample.grid, stacked - stacked.mean(axis=1, keepdims=True), orders)

@@ -189,12 +189,13 @@ def bootstrap_quantile(drs: DeltaResidualSet, cfg: MultiplierConfig, alpha: floa
     check_alpha(alpha)
     residuals = drs.residuals
     n, t = residuals.shape
-    if not np.any(residuals):
+    peak = np.max(np.abs(residuals))
+    if peak == 0.0:
         raise DegenerateResiduals("all residual curves are identically zero")
     # Every statistic here is scale-free.  Scaling by a power of two so that
     # max |residual| lies in [0.5, 1) is exact and keeps the squares finite
     # and nonzero at extreme scales.
-    residuals = np.ldexp(residuals, -math.frexp(np.max(np.abs(residuals)))[1])
+    residuals = np.ldexp(residuals, -math.frexp(peak)[1])
     col_sq = np.sum(residuals * residuals, axis=0)
     pooled_sd = np.sqrt(col_sq / n)
     plain = cfg.studentize == "plain"

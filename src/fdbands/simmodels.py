@@ -26,7 +26,7 @@ import numpy as np
 
 from .bessel import bessel_k
 from .errors import ConfigError, NotPositiveDefinite, ShapeMismatch, TooFewCurves
-from .fdata import FunctionalSample, Grid, validate
+from .fdata import FunctionalSample, Grid
 from .rng import StreamKey
 
 # Jitter ladder for near-PSD correlation matrices: starts at 1e-10,
@@ -56,6 +56,9 @@ class ModelSpec:
     def __post_init__(self):
         if self.kind not in ("A", "B", "C"):
             raise ConfigError(f"unknown model {self.kind!r}; expected A, B or C")
+        for name, value in (("Model A bandwidth", self.bandwidth), ("jitter", self.jitter)):
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite")
         if not self.bandwidth > 0:
             raise ConfigError("Model A bandwidth must be positive")
         if self.jitter < 0:
@@ -218,9 +221,8 @@ def sample_model(spec: ModelSpec, n: int, grid: Grid, key: StreamKey) -> Functio
     # in place: the same IEEE operations as mean + amplitude * noise
     noise *= model_amplitude(spec.kind, s)[None, :]
     noise += model_mean(spec.kind, s)[None, :]
-    sample = FunctionalSample(grid, noise)
-    validate(sample)
-    return sample
+    noise.setflags(write=False)  # handed over to the sample without a copy
+    return FunctionalSample(grid, noise)
 
 
 def add_observation_noise(sample: FunctionalSample, sigma: float, key: StreamKey) -> FunctionalSample:
@@ -231,4 +233,5 @@ def add_observation_noise(sample: FunctionalSample, sigma: float, key: StreamKey
         return sample
     rng = key.generator()
     noisy = sample.values + sigma * rng.standard_normal(sample.values.shape)
+    noisy.setflags(write=False)
     return FunctionalSample(sample.grid, noisy)

@@ -42,7 +42,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, DomainGuardViolation, NotAvailable, SampleTooSmall, ShapeMismatch
-from .fdata import Curve, FunctionalSample, Grid, validate
+from .fdata import Curve, FunctionalSample, Grid
 from .moments import MomentEstimates, MomentOrders
 
 # Variance guard: require m2 > floor * (m2 + mean^2), the raw second moment.
@@ -418,7 +418,6 @@ def _scaled_frame(t: Transformation, sample: FunctionalSample):
     [0.5, 1) (e = 0 for a constant column), and c = (mean 2^-e, m2, ...,
     mK) holds the mean and the central moments of d.
     """
-    validate(sample)
     mean = sample.values.mean(axis=0)
     d = sample.values - mean
     e = np.frexp(np.maximum(d.max(axis=0), -d.min(axis=0)))[1]
@@ -460,7 +459,8 @@ def delta_residuals(t: Transformation, sample: FunctionalSample) -> DeltaResidua
         # d is spent: it holds the squares for the se
         se = np.ldexp(_plugin_se(res, sample.n, out=d), scale)
         estimate = np.ldexp(value, scale)
-    _check_guard(t.name, np.isfinite(estimate) & np.isfinite(se), sample.grid, "estimate or se overflows")
+        # max_n |residual_n| <= N se, so a finite N se keeps every residual finite
+        _check_guard(t.name, np.isfinite(estimate) & np.isfinite(sample.n * se), sample.grid, "estimate or se overflows")
     return DeltaResidualSet(
         grid=sample.grid,
         residuals=np.ldexp(res, scale, out=res),

@@ -42,21 +42,29 @@ def test_nonfinite_grid_rejected():
 
 
 def test_single_curve_rejected():
-    sample = FunctionalSample(Grid([0.0, 1.0]), [[1.0, 2.0]])
     with pytest.raises(TooFewCurves):
-        validate(sample)
+        FunctionalSample(Grid([0.0, 1.0]), [[1.0, 2.0]])
 
 
 def test_nonfinite_value_rejected():
-    sample = FunctionalSample(Grid([0.0, 1.0]), [[1.0, 2.0], [np.inf, 0.0]])
     with pytest.raises(NonFiniteValue):
-        validate(sample)
+        FunctionalSample(Grid([0.0, 1.0]), [[1.0, 2.0], [np.inf, 0.0]])
 
 
 def test_width_mismatch_rejected():
-    sample = FunctionalSample(Grid([0.0, 0.5, 1.0]), [[1.0, 2.0], [3.0, 4.0]])
     with pytest.raises(ShapeMismatch):
-        validate(sample)
+        FunctionalSample(Grid([0.0, 0.5, 1.0]), [[1.0, 2.0], [3.0, 4.0]])
+
+
+def test_sample_takes_over_only_a_frozen_array_it_can_own():
+    grid = Grid([0.0, 1.0])
+    frozen = np.array([[1.0, 2.0], [3.0, 4.0]])
+    frozen.setflags(write=False)
+    assert FunctionalSample(grid, frozen).values is frozen
+    for values in (np.array([[1.0, 2.0], [3.0, 4.0]]), frozen[::-1], frozen.astype(np.float32)):
+        vals = FunctionalSample(grid, values).values
+        assert not np.shares_memory(vals, values)
+        assert vals.dtype == np.float64 and not vals.flags.writeable
 
 
 def test_curve_invariants():

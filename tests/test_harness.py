@@ -15,6 +15,7 @@ from fdbands import (
     Grid,
     ModelSpec,
     NotAvailable,
+    SampleTooSmall,
     StreamKey,
     run_coverage,
     sample_model,
@@ -88,6 +89,8 @@ def test_config_kurtosis_z_minimum_n():
         ExperimentConfig(statistic="kurtosis_z", sample_sizes=(19,))
     # The exact Gaussian null (n >= 4) is only required when it is used.
     assert ExperimentConfig(statistic="skewness", sample_sizes=(3,)).sample_sizes == (3,)
+    with pytest.raises(SampleTooSmall, match=r"^gaussian_se_g1 needs n >= 4, got 3$"):
+        ExperimentConfig(statistic="skewness", se_mode="gaussian_exact", sample_sizes=(3,))
 
 
 def test_config_model_c_rejects_exact_se():
@@ -115,10 +118,22 @@ def test_config_rejects_alpha_outside_gkf_range(methods):
     (dict(bandwidth=0.0), r"^Model A bandwidth must be positive$"),
     (dict(jitter=-1e-12), r"^jitter must be nonnegative$"),
     (dict(sample_sizes=()), r"^need at least one sample size$"),
+    (dict(noise_sigma=math.nan), r"^noise_sigma must be finite and nonnegative, got nan$"),
+    (dict(noise_sigma=math.inf), r"^noise_sigma must be finite and nonnegative, got inf$"),
+    (dict(model="B", jitter=math.nan), r"^jitter must be finite$"),
+    (dict(bandwidth=math.inf), r"^Model A bandwidth must be finite$"),
 ])
 def test_config_rejects_what_used_to_fail_in_the_run(overrides, message):
     with pytest.raises(ConfigError, match=message):
         ExperimentConfig(**overrides)
+
+
+def test_shipped_configs_load():
+    # construction builds every cell, so a shipped config that cannot run fails here
+    paths = sorted((Path(_SRC).parent / "configs").glob("*.cfg"))
+    assert len(paths) >= 4
+    for path in paths:
+        ExperimentConfig.from_file(path)
 
 
 @pytest.mark.parametrize("statistic", ["skewness_z", "kurtosis_z"])

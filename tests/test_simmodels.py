@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -155,6 +156,21 @@ def test_sampling_is_deterministic_per_key(kind):
 def test_sample_model_requires_two_curves():
     with pytest.raises(TooFewCurves):
         sample_model(ModelSpec("A"), 1, Grid.equispaced(5), StreamKey(0))
+
+
+def test_sample_model_holds_one_n_by_t_array():
+    # the sample takes over the array sample_model built, so the peak stays
+    # near its 3.2 MB of values instead of holding a copy as well
+    grid = Grid.equispaced(400)
+    sample_model(ModelSpec("A"), 1000, grid, StreamKey(0))
+    tracemalloc.start()
+    try:
+        sample = sample_model(ModelSpec("A"), 1000, grid, StreamKey(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sample.values.nbytes == 3_200_000
+    assert peak < 4.5e6
 
 
 def test_model_spec_validation():

@@ -470,6 +470,16 @@ def test_mean_and_variance_are_ldexp_equivariant(name, degree, values, power):
         assert np.array_equal(got[finite], want[finite])
 
 
+def test_residuals_that_would_overflow_trip_the_guard():
+    # the estimate and se stay finite (about 4e305), but the one large curve's
+    # residual, about N se, would overflow
+    values = np.zeros((1000, 3))
+    values[0] = 1.5 * 2.0**512
+    sample = FunctionalSample(Grid(np.linspace(0.0, 1.0, 3)), values)
+    with pytest.raises(DomainGuardViolation, match="overflows at grid point"):
+        delta_residuals(get_transformation("variance"), sample)
+
+
 @pytest.mark.parametrize("name", TRANSFORMATION_NAMES)
 @given(values=_curves(), seed=st.integers(0, 2**32 - 1))
 def test_permuting_the_curves(name, values, seed):
