@@ -184,18 +184,20 @@ def _parse_lines(path) -> tuple[Grid, list[list[float]]]:
 def read_sample_csv(path) -> FunctionalSample:
     """Parse a sample CSV written by write_sample_csv (or by hand).
 
-    numpy's C reader parses well-formed files; a file it rejects is parsed
-    again line by line, which accepts the same inputs and raises
-    ParseError / ShapeMismatch with the offending line number.
+    numpy's C reader parses well-formed files, the curves straight into the
+    array the sample owns; a file it rejects is parsed again line by line,
+    which accepts the same inputs and raises ParseError / ShapeMismatch with
+    the offending line number.
     """
     try:
         with open(path, "r") as fh, warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
-            table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+            first = next((line for line in fh if line.strip()), "")
+            points = np.loadtxt([first], delimiter=",", comments=None, ndmin=1)
+            curves = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
     except ValueError:
-        table = None
-    if table is None or table.shape[0] < 2:
-        grid, rows = _parse_lines(path)
-    else:
-        grid, rows = Grid(table[0]), table[1:]
-    return FunctionalSample(grid, rows)
+        curves = None
+    if curves is None or curves.shape[0] == 0 or curves.shape[1] != points.size:
+        return FunctionalSample(*_parse_lines(path))
+    curves.setflags(write=False)  # handed over to the sample without a copy
+    return FunctionalSample(Grid(points), curves)

@@ -42,6 +42,7 @@ from .simmodels import (
     MODEL_A_BANDWIDTH,
     ModelSpec,
     add_observation_noise,
+    check_noise_sigma,
     model_amplitude,
     model_b_chol,
     model_c_noise_variance,
@@ -114,8 +115,7 @@ class ExperimentConfig:
         for n in self.sample_sizes:
             if n < minimum:
                 raise ConfigError(f"sample size {n} below the minimum {minimum} for {self.statistic}")
-        if not 0.0 <= self.noise_sigma < math.inf:
-            raise ConfigError(f"noise_sigma must be finite and nonnegative, got {self.noise_sigma}")
+        check_noise_sigma(self.noise_sigma)
         if self.workers < 0:
             raise ConfigError("workers must be >= 0")
         _cells(self)  # what run_coverage and every worker build, so a config that exists can run

@@ -30,7 +30,7 @@ from .errors import (
 )
 from .fdata import Curve, Grid
 from .rng import StreamKey
-from .transforms import DeltaResidualSet
+from .transforms import DeltaResidualSet, add_rows, row_blocks
 
 # bootstrap method name -> (multiplier kind, studentize)
 _MULTIPLIERS = {
@@ -329,12 +329,17 @@ def estimate_lkc1(residuals: np.ndarray, se: Curve, grid: Grid) -> float:
         raise ShapeMismatch("se curve and grid length differ")
     if np.any(se.values <= 0.0):
         raise ZeroSe("LKC estimation needs positive se at every grid point")
-    n = residuals.shape[0]
-    normalized = residuals / (math.sqrt(n) * se.values)
-    increments = np.diff(normalized, axis=1)
-    del normalized
-    increments *= increments
-    return float(np.sum(np.sqrt(np.mean(increments, axis=0))))
+    n, t = residuals.shape
+    scale = math.sqrt(n) * se.values
+    blocks, increments = row_blocks(n, t - 1)
+    normalized = np.empty((len(increments), t))
+    total = None
+    for blk in blocks:
+        z = np.divide(residuals[blk], scale, out=normalized[: blk.stop - blk.start])
+        inc = np.subtract(z[:, 1:], z[:, :-1], out=increments[1 : len(z) + 1])
+        inc *= inc
+        total = add_rows(total, increments, len(z))
+    return float(np.sum(np.sqrt(total / n)))
 
 
 def gkf_quantile(cfg: GkfConfig, alpha: float) -> QuantileEstimate:

@@ -225,10 +225,15 @@ def sample_model(spec: ModelSpec, n: int, grid: Grid, key: StreamKey) -> Functio
     return FunctionalSample(grid, noise)
 
 
+def check_noise_sigma(sigma: float) -> None:
+    """Observation noise needs a finite, nonnegative sd."""
+    if not 0.0 <= sigma < math.inf:
+        raise ConfigError(f"noise_sigma must be finite and nonnegative, got {sigma}")
+
+
 def add_observation_noise(sample: FunctionalSample, sigma: float, key: StreamKey) -> FunctionalSample:
     """Perturb every entry by independent N(0, sigma^2); sigma = 0 is the identity."""
-    if sigma < 0:
-        raise ConfigError("sigma must be nonnegative")
+    check_noise_sigma(sigma)
     if sigma == 0.0:
         return sample
     rng = key.generator()

@@ -411,25 +411,56 @@ def evaluate(t: Transformation, moments: MomentEstimates) -> Curve:
     return Curve(moments.grid, t.value(moments.values))
 
 
+# Float64 entries in one row block (256 KB, a chosen constant): the
+# residuals and the LKC sweep their N x T inputs block by block.
+ROW_BLOCK = 2**15
+
+
+def row_blocks(n: int, t: int) -> tuple[list[slice], np.ndarray]:
+    """Consecutive slices of about ROW_BLOCK entries covering n rows of width
+    t, and a scratch array one row taller than a block, for add_rows."""
+    rows = min(n, max(1, ROW_BLOCK // t))
+    return [slice(i, min(i + rows, n)) for i in range(0, n, rows)], np.empty((rows + 1, t))
+
+
+def add_rows(acc: np.ndarray | None, buf: np.ndarray, m: int) -> np.ndarray:
+    """acc plus the column sums of the block buf[1 : m + 1] (acc None: those
+    sums alone).
+
+    numpy sums a C-contiguous array along axis 0 by adding its rows in
+    order, so with acc as row 0 of buf, ahead of the block, block sums give
+    the whole array's sum bit for bit.
+    """
+    if acc is None:
+        return buf[1 : m + 1].sum(axis=0)
+    buf[0] = acc
+    return buf[: m + 1].sum(axis=0)
+
+
 def _scaled_frame(t: Transformation, sample: FunctionalSample):
-    """(d, e, c) at every grid point, with H's domain guard checked on c.
+    """(d, e, c) at every grid point, with H's domain guard checked on c,
+    and the row_blocks (blocks, buf) that formed the powers of d.
 
     d = (X - mean) 2^-e, with the integer e chosen so that max |d| lies in
     [0.5, 1) (e = 0 for a constant column), and c = (mean 2^-e, m2, ...,
     mK) holds the mean and the central moments of d.
     """
-    mean = sample.values.mean(axis=0)
-    d = sample.values - mean
-    e = np.frexp(np.maximum(d.max(axis=0), -d.min(axis=0)))[1]
-    np.ldexp(d, -e, out=d)
-    rows = [np.ldexp(mean, -e)]
-    power = d.copy()
-    for _ in range(1, len(t.orders)):
-        power *= d
-        rows.append(power.mean(axis=0))
-    c = np.stack(rows)
+    x, n = sample.values, sample.n
+    mean = x.mean(axis=0)
+    # rounding is monotone, so these are max (X - mean) and -min (X - mean)
+    e = np.frexp(np.maximum(x.max(axis=0) - mean, mean - x.min(axis=0)))[1]
+    d = np.empty_like(x)
+    blocks, buf = row_blocks(n, sample.t)
+    sums = [None] * len(t.orders)
+    for blk in blocks:
+        block = np.ldexp(np.subtract(x[blk], mean, out=d[blk]), -e, out=d[blk])
+        power = block
+        for r in range(1, len(sums)):
+            power = np.multiply(power, block, out=buf[1 : len(block) + 1])
+            sums[r] = add_rows(sums[r], buf, len(block))
+    c = np.stack([np.ldexp(mean, -e), *(s / n for s in sums[1:])])
     _check_guard(t.name, t.central_guard(c), sample.grid)
-    return d, e, c
+    return d, e, c, blocks, buf
 
 
 def delta_residuals(t: Transformation, sample: FunctionalSample) -> DeltaResidualSet:
@@ -439,9 +470,10 @@ def delta_residuals(t: Transformation, sample: FunctionalSample) -> DeltaResidua
     function of H; the rows sum to zero at every grid point.  estimate is H
     at the sample moments and se the plug-in standard error of that
     estimate, i.e. sqrt(N^-1 sum_n residual_n(s)^2) / sqrt(N).  All three
-    are formed in the scaled frame and brought back with ldexp.
+    are formed in the scaled frame and brought back with ldexp.  The
+    residual array holds d until each of its row blocks is overwritten.
     """
-    d, e, c = _scaled_frame(t, sample)
+    res, e, c, blocks, buf = _scaled_frame(t, sample)
     value, grad, _ = t.central(c)
     # grad . psi as a polynomial in d: coef[r-1] multiplies d^r, and the
     # -r m_{r-1} d and -m_r terms of psi_r go to d^1 and d^0.
@@ -449,21 +481,27 @@ def delta_residuals(t: Transformation, sample: FunctionalSample) -> DeltaResidua
     coef = grad.copy()
     for r in range(3, k + 1):
         coef[0] -= r * grad[r - 1] * c[r - 2]
-    res = coef[k - 1] * d
-    for r in range(k - 1, 0, -1):
-        res += coef[r - 1]
-        res *= d
-    res -= np.einsum("rp,rp->p", grad[1:], c[1:])
+    const = np.einsum("rp,rp->p", grad[1:], c[1:])
+    squares = None
+    for blk in blocks:
+        # Horner in the scratch block; d in res is spent by the last step
+        d, m = res[blk], blk.stop - blk.start
+        poly = np.multiply(coef[k - 1], d, out=buf[1 : m + 1])
+        for r in range(k - 1, 0, -1):
+            poly += coef[r - 1]
+            poly *= d
+        np.subtract(poly, const, out=d)
+        np.multiply(d, d, out=poly)
+        squares = add_rows(squares, buf, m)
     scale = t.degree * e
     with np.errstate(over="ignore"):
-        # d is spent: it holds the squares for the se
-        se = np.ldexp(_plugin_se(res, sample.n, out=d), scale)
+        se = np.ldexp(_plugin_se(squares, sample.n), scale)
         estimate = np.ldexp(value, scale)
         # max_n |residual_n| <= N se, so a finite N se keeps every residual finite
         _check_guard(t.name, np.isfinite(estimate) & np.isfinite(sample.n * se), sample.grid, "estimate or se overflows")
     return DeltaResidualSet(
         grid=sample.grid,
-        residuals=np.ldexp(res, scale, out=res),
+        residuals=np.ldexp(res, scale, out=res) if t.degree else res,
         estimate=Curve(sample.grid, estimate),
         se=Curve(sample.grid, se),
         transformation=t.name,
@@ -471,15 +509,15 @@ def delta_residuals(t: Transformation, sample: FunctionalSample) -> DeltaResidua
     )
 
 
-def _plugin_se(residuals: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
-    """sqrt(N^-1 sum_n residual_n(s)^2) / sqrt(N) at every grid point; the
-    squares go to out when given."""
-    return np.sqrt(np.mean(np.multiply(residuals, residuals, out=out), axis=0)) / math.sqrt(n)
+def _plugin_se(square_sums: np.ndarray, n: int) -> np.ndarray:
+    """sqrt(N^-1 sum_n residual_n(s)^2) / sqrt(N) at every grid point, from
+    the column sums of the squared residuals."""
+    return np.sqrt(square_sums / n) / math.sqrt(n)
 
 
 def se_estimate(drs: DeltaResidualSet) -> Curve:
     """Standard error of the estimate curve from the residual spread."""
-    return Curve(drs.grid, _plugin_se(drs.residuals, drs.n))
+    return Curve(drs.grid, _plugin_se(np.square(drs.residuals).sum(axis=0), drs.n))
 
 
 def bias_estimate(t: Transformation, sample: FunctionalSample) -> Curve:
@@ -491,7 +529,7 @@ def bias_estimate(t: Transformation, sample: FunctionalSample) -> Curve:
     exactly the raw expansion (2N)^-1 sum_{j,k} d2H/da_j da_k (a_{j+k} -
     a_j a_k) in the raw moments a.  Identically zero for linear H.
     """
-    d, e, c = _scaled_frame(t, sample)
+    d, e, c, *_ = _scaled_frame(t, sample)
     _, grad, hess = t.central(c)
     k = len(t.orders)
     m = [1.0, 0.0, *c[1:]]

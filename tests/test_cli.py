@@ -103,6 +103,15 @@ def test_exit_code_one_on_bad_arguments(tmp_path):
     assert main(["verify", "--oracle", "nonsense", "--out", str(tmp_path / "o.csv")]) == 1
 
 
+def test_non_finite_noise_sigma_is_a_bad_argument(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    for sigma in ("nan", "inf"):
+        args = ["simulate", "--model", "A", "--n", "5", "--t", "5", "--seed", "1", "--noise-sigma", sigma, "--out", str(out)]
+        assert main(args) == 1
+        assert capsys.readouterr().err == f"error: noise_sigma must be finite and nonnegative, got {sigma}\n"
+    assert not out.exists()
+
+
 def test_exit_code_two_on_runtime_failure(tmp_path):
     missing = tmp_path / "missing.csv"
     assert main(["band", "--in", str(missing), "--stat", "mean", "--method", "mult",

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -192,3 +194,20 @@ def test_undecodable_bytes_are_a_parse_error(tmp_path):
     path.write_bytes(b"0,0.5,1\n1,2,3\n\xff\xfe")
     with pytest.raises(ParseError):
         read_sample_csv(path)
+
+
+def test_read_sample_csv_holds_one_n_by_t_array(tmp_path):
+    # the curves are parsed straight into the array the sample owns, so the
+    # peak stays near its 3.2 MB of values instead of holding a copy as well
+    path = tmp_path / "s.csv"
+    values = np.random.default_rng(0).standard_normal((1000, 400))
+    write_sample_csv(FunctionalSample(Grid(np.linspace(0.0, 1.0, 400)), values), path)
+    read_sample_csv(path)
+    tracemalloc.start()
+    try:
+        sample = read_sample_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(sample.values, values)
+    assert peak < 4.5e6

@@ -245,5 +245,6 @@ def test_observation_noise_sd():
     assert abs(delta.std() / 0.05 - 1.0) <= 0.02
     noisy2 = add_observation_noise(sample, 0.05, StreamKey(4))
     assert np.array_equal(noisy.values, noisy2.values)
-    with pytest.raises(ConfigError):
-        add_observation_noise(sample, -0.1, StreamKey(4))
+    for sigma in (-0.1, math.nan, math.inf):
+        with pytest.raises(ConfigError, match="^noise_sigma must be finite and nonnegative, got"):
+            add_observation_noise(sample, sigma, StreamKey(4))

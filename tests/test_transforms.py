@@ -1,8 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fdbands import (
     Curve,
@@ -26,11 +27,12 @@ from fdbands import (
     sample_model,
     se_estimate,
     StreamKey,
+    ZeroSe,
     ZTransformParams,
     z_params,
 )
 from fdbands.moments import MomentOrders
-from fdbands.transforms import TRANSFORMATION_NAMES, Z1Params, Z2Params, min_sample_size
+from fdbands.transforms import ROW_BLOCK, TRANSFORMATION_NAMES, Z1Params, Z2Params, min_sample_size
 from fdbands.verify import finite_diff_grad, finite_diff_jacobian
 
 GRID2 = Grid([0.0, 1.0])
@@ -450,13 +452,16 @@ def test_mean_and_variance_are_ldexp_equivariant(name, degree, values, power):
     # coverage run counts it; the mean never overflows at these scales
     base, base_bias = _drs(name, values)
     with np.errstate(over="ignore"):
-        overflows = not np.all(np.isfinite(np.ldexp(base.estimate.values, degree * power)))
-    if overflows:
+        bounds = np.ldexp([base.estimate.values, len(values) * base.se.values], degree * power)
+    try:
+        scaled, scaled_bias = _drs(name, np.ldexp(values, power))
+    except DomainGuardViolation as exc:
         assert name == "variance"
-        with pytest.raises(DomainGuardViolation, match="overflows at grid point"):
-            _drs(name, np.ldexp(values, power))
+        assert "overflows at grid point" in str(exc)
+        assert not np.all(np.isfinite(bounds))
         return
-    scaled, scaled_bias = _drs(name, np.ldexp(values, power))
+    assert np.all(np.isfinite(bounds))
+    assert np.all(np.isfinite(scaled.estimate.values))
     pairs = [
         (scaled.estimate.values, base.estimate.values),
         (scaled.residuals, base.residuals),
@@ -468,6 +473,107 @@ def test_mean_and_variance_are_ldexp_equivariant(name, degree, values, power):
         with np.errstate(over="ignore"):
             want = np.ldexp(want, degree * power)
         assert np.array_equal(got[finite], want[finite])
+
+
+def test_residuals_and_lkc_hold_one_n_by_t_array_beyond_the_sample():
+    # the 3.2 MB of residuals are the only N x T array built: the sweeps work
+    # in row blocks of about 0.26 MB, where whole-array temporaries would
+    # hold two or three more N x T arrays
+    sample = sample_model(ModelSpec("A"), 1000, Grid.equispaced(400), StreamKey(1))
+    t = get_transformation("skewness_z", 1000)
+    delta_residuals(t, sample).lkc1
+    tracemalloc.start()
+    try:
+        drs = delta_residuals(t, sample)
+        drs.lkc1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert drs.residuals.nbytes == 3_200_000
+    assert peak < 5.0e6
+
+
+# (N, T): one row block at T = 3; three blocks, the last ragged, at T = 3;
+# three full blocks; two full blocks and a ragged one; four blocks of 6, 6,
+# 6 and 2 rows
+BLOCK_SHAPES = [
+    (20, 3),
+    (2 * (ROW_BLOCK // 3) + 5, 3),
+    (3 * (ROW_BLOCK // 64), 64),
+    (2 * (ROW_BLOCK // 2000) + 7, 2000),
+    (20, 5000),
+]
+
+
+@st.composite
+def _shifted_and_scaled(draw, shape):
+    """Curves of the given shape, shifted and scaled by 2^-600, 1 or 2^600."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.standard_normal(shape)
+    if draw(st.booleans()):
+        values += rng.standard_exponential(shape) - 1.0
+    values += draw(st.sampled_from([0.0, 1e3, -1e5]))
+    return np.ldexp(values, draw(st.sampled_from([-600, 0, 600])))
+
+
+def _full_array_calculus(t, values):
+    """(residuals, se, estimate, lkc1) from whole N x T arrays, written out
+    step by step; None where a guard trips."""
+    n = len(values)
+    mean = values.mean(axis=0)
+    d = values - mean
+    e = np.frexp(np.maximum(d.max(axis=0), -d.min(axis=0)))[1]
+    d = np.ldexp(d, -e)
+    power, c = d, [np.ldexp(mean, -e)]
+    for _ in range(1, len(t.orders)):
+        power = power * d
+        c.append(power.mean(axis=0))
+    c = np.stack(c)
+    if not np.all(t.central_guard(c)):
+        return None
+    value, grad, _ = t.central(c)
+    k = len(t.orders)
+    coef = grad.copy()
+    for r in range(3, k + 1):
+        coef[0] -= r * grad[r - 1] * c[r - 2]
+    res = coef[k - 1] * d
+    for r in range(k - 1, 0, -1):
+        res = (res + coef[r - 1]) * d
+    res = res - np.einsum("rp,rp->p", grad[1:], c[1:])
+    scale = t.degree * e
+    with np.errstate(over="ignore"):
+        se = np.ldexp(np.sqrt(np.mean(res * res, axis=0)) / math.sqrt(n), scale)
+        estimate = np.ldexp(value, scale)
+    if not np.all(np.isfinite(estimate) & np.isfinite(n * se)):
+        return None
+    res = np.ldexp(res, scale)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        increments = np.diff(res / (math.sqrt(n) * se), axis=1)
+    return res, se, estimate, float(np.sum(np.sqrt(np.mean(increments * increments, axis=0))))
+
+
+@pytest.mark.parametrize("shape", BLOCK_SHAPES)
+@pytest.mark.parametrize("name", TRANSFORMATION_NAMES)
+@settings(max_examples=5)
+@given(data=st.data())
+def test_row_blocks_reproduce_the_full_array_calculus(name, shape, data):
+    values = data.draw(_shifted_and_scaled(shape))
+    t = get_transformation(name, len(values))
+    sample = FunctionalSample(Grid(np.linspace(0.0, 1.0, values.shape[1])), values)
+    want = _full_array_calculus(t, values)
+    if want is None:
+        with pytest.raises(DomainGuardViolation):
+            delta_residuals(t, sample)
+        return
+    drs = delta_residuals(t, sample)
+    assert np.array_equal(drs.residuals, want[0])
+    assert np.array_equal(drs.se.values, want[1])
+    assert np.array_equal(drs.estimate.values, want[2])
+    if np.all(drs.se.values > 0):
+        assert drs.lkc1 == want[3]
+    else:  # the se of the variance underflows at 2^-600
+        with pytest.raises(ZeroSe):
+            drs.lkc1
 
 
 def test_residuals_that_would_overflow_trip_the_guard():
