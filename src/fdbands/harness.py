@@ -268,10 +268,7 @@ class CoverageReport:
     rows: tuple[CoverageRow, ...]
     wall_seconds: float
 
-    CSV_HEADER = (
-        "model,statistic,method,se_mode,bias_correction,"
-        "n,t,replicates,successes,guard_violations,coverage,mc_se"
-    )
+    CSV_HEADER = ",".join(f.name for f in fields(CoverageRow))
 
     def write_csv(self, path) -> None:
         write_csv(path, self.CSV_HEADER, map(astuple, self.rows))

@@ -29,7 +29,7 @@ from .errors import (
     ZeroSe,
 )
 from .fdata import Curve, Grid
-from .rng import StreamKey
+from .rng import METHOD_DRAW, StreamKey
 from .transforms import DeltaResidualSet, add_rows, row_blocks
 
 # bootstrap method name -> (multiplier kind, studentize)
@@ -67,7 +67,7 @@ class MultiplierConfig:
     kind: str = "gaussian"
     studentize: str = "plain"
     b: int = 1000
-    key: StreamKey = StreamKey(0)
+    key: StreamKey = StreamKey(0, 0, METHOD_DRAW)
 
     def __post_init__(self):
         if self.kind not in ("gaussian", "rademacher"):

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ConfigError, NonFiniteValue, SampleTooSmall, ShapeMismatch
 from .fdata import Curve, FunctionalSample, Grid
 from .quantile import QuantileEstimate, estimate_quantile
-from .rng import StreamKey
+from .rng import METHOD_DRAW, StreamKey
 from .transforms import (
     GAUSSIAN_NULL_STATISTICS,
     MIN_N,
@@ -117,7 +117,7 @@ def gauss_test(
     quantile_method: str = "mult",
     se_mode: str = "gaussian_exact",
     b: int = 1000,
-    key: StreamKey | None = None,
+    key: StreamKey = StreamKey(0, 0, METHOD_DRAW),
     bias_correction: bool = False,
 ) -> GaussTestResult:
     """Reject Gaussianity if the statistic curve leaves its null band anywhere.
@@ -138,8 +138,6 @@ def gauss_test(
     minimum = max(min_sample_size(statistic), MIN_N["gaussian_null"])
     if n < minimum:
         raise SampleTooSmall(f"{statistic} test needs n >= {minimum}, got {n}")
-    if key is None:
-        key = StreamKey(0)
 
     transformation = get_transformation(statistic, n)
     drs = delta_residuals(transformation, sample)

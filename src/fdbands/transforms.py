@@ -437,21 +437,23 @@ def add_rows(acc: np.ndarray | None, buf: np.ndarray, m: int) -> np.ndarray:
     return buf[: m + 1].sum(axis=0)
 
 
-def _scaled_frame(t: Transformation, sample: FunctionalSample):
-    """(d, e, c) at every grid point, with H's domain guard checked on c,
+def _scaled_frame(t: Transformation, sample: FunctionalSample, order: int | None = None):
+    """(d, e, c) at every grid point, with H's domain guard checked on c[:K],
     and the row_blocks (blocks, buf) that formed the powers of d.
 
     d = (X - mean) 2^-e, with the integer e chosen so that max |d| lies in
     [0.5, 1) (e = 0 for a constant column), and c = (mean 2^-e, m2, ...,
-    mK) holds the mean and the central moments of d.
+    m_order) holds the mean and the central moments of d up to the given
+    order (default H's own K).
     """
+    k = len(t.orders)
     x, n = sample.values, sample.n
     mean = x.mean(axis=0)
     # rounding is monotone, so these are max (X - mean) and -min (X - mean)
     e = np.frexp(np.maximum(x.max(axis=0) - mean, mean - x.min(axis=0)))[1]
     d = np.empty_like(x)
     blocks, buf = row_blocks(n, sample.t)
-    sums = [None] * len(t.orders)
+    sums = [None] * (order or k)
     for blk in blocks:
         block = np.ldexp(np.subtract(x[blk], mean, out=d[blk]), -e, out=d[blk])
         power = block
@@ -459,7 +461,7 @@ def _scaled_frame(t: Transformation, sample: FunctionalSample):
             power = np.multiply(power, block, out=buf[1 : len(block) + 1])
             sums[r] = add_rows(sums[r], buf, len(block))
     c = np.stack([np.ldexp(mean, -e), *(s / n for s in sums[1:])])
-    _check_guard(t.name, t.central_guard(c), sample.grid)
+    _check_guard(t.name, t.central_guard(c[:k]), sample.grid)
     return d, e, c, blocks, buf
 
 
@@ -495,7 +497,7 @@ def delta_residuals(t: Transformation, sample: FunctionalSample) -> DeltaResidua
         squares = add_rows(squares, buf, m)
     scale = t.degree * e
     with np.errstate(over="ignore"):
-        se = np.ldexp(_plugin_se(squares, sample.n), scale)
+        se = np.ldexp(np.sqrt(squares / sample.n) / math.sqrt(sample.n), scale)
         estimate = np.ldexp(value, scale)
         # max_n |residual_n| <= N se, so a finite N se keeps every residual finite
         _check_guard(t.name, np.isfinite(estimate) & np.isfinite(sample.n * se), sample.grid, "estimate or se overflows")
@@ -509,41 +511,38 @@ def delta_residuals(t: Transformation, sample: FunctionalSample) -> DeltaResidua
     )
 
 
-def _plugin_se(square_sums: np.ndarray, n: int) -> np.ndarray:
-    """sqrt(N^-1 sum_n residual_n(s)^2) / sqrt(N) at every grid point, from
-    the column sums of the squared residuals."""
-    return np.sqrt(square_sums / n) / math.sqrt(n)
-
-
 def se_estimate(drs: DeltaResidualSet) -> Curve:
-    """Standard error of the estimate curve from the residual spread."""
-    return Curve(drs.grid, _plugin_se(np.square(drs.residuals).sum(axis=0), drs.n))
+    """Standard error of the estimate curve from the residual spread: the se
+    the set carries, formed in the scaled frame by delta_residuals."""
+    return drs.se
 
 
 def bias_estimate(t: Transformation, sample: FunctionalSample) -> Curve:
     """Second-order plug-in bias of H(sample moments).
 
-    In the scaled frame, (2N)^-1 sum_{r,s} d2H/dc_r dc_s cov(psi_r, psi_s)
+    In the scaled frame, (2N)^-1 sum_{r,s} d2H/dc_r dc_s C_rs
     + N^-1 sum_r dH/dc_r b_r, where b_r = r(r-1)/2 m_{r-2} m2 - r m_r
-    (b_1 = 0) is the second-order bias of the central moment m_r.  This is
-    exactly the raw expansion (2N)^-1 sum_{j,k} d2H/da_j da_k (a_{j+k} -
-    a_j a_k) in the raw moments a.  Identically zero for linear H.
+    (b_1 = 0) is the second-order bias of the central moment m_r and C_rs =
+    N^-1 sum_n psi_r psi_s the cross moment of the influence functions.
+    With psi_r = d^r - m_r - a_r d, a_1 = 0 and a_r = r m_{r-1}, C_rs =
+    m_{r+s} - m_r m_s - a_s m_{r+1} - a_r m_{s+1} + a_r a_s m2 needs only
+    the central moments up to order 2K, which the frame sums row block by
+    row block.  This is exactly the raw expansion (2N)^-1 sum_{j,k}
+    d2H/da_j da_k (a_{j+k} - a_j a_k) in the raw moments a.  Identically
+    zero for linear H.
     """
-    d, e, c, *_ = _scaled_frame(t, sample)
-    _, grad, hess = t.central(c)
     k = len(t.orders)
+    _, e, c, *_ = _scaled_frame(t, sample, 2 * k)
+    _, grad, hess = t.central(c[:k])
     m = [1.0, 0.0, *c[1:]]
-    psi = [d]
-    power = d.copy()
-    for r in range(2, k + 1):
-        power *= d
-        psi.append(power - m[r] - r * m[r - 1] * d)
-    n = sample.n
-    acc = sum(hess[r, s] * np.einsum("np,np->p", psi[r], psi[s]) for r in range(k) for s in range(k))
-    acc = acc / (2.0 * n * n) + sum(
-        grad[r - 1] * (r * (r - 1) / 2 * m[r - 2] * m[2] - r * m[r]) for r in range(2, k + 1)
-    ) / n
-    return Curve(sample.grid, np.ldexp(acc, t.degree * e))
+    a = [0.0, 0.0, *(r * m[r - 1] for r in range(2, k + 1))]
+    cross = sum(
+        hess[r - 1, s - 1] * (m[r + s] - m[r] * m[s] - a[s] * m[r + 1] - a[r] * m[s + 1] + a[r] * a[s] * m[2])
+        for r in range(1, k + 1)
+        for s in range(1, k + 1)
+    )
+    moments = sum(grad[r - 1] * (r * (r - 1) / 2 * m[r - 2] * m[2] - r * m[r]) for r in range(2, k + 1))
+    return Curve(sample.grid, np.ldexp((cross / 2.0 + moments) / sample.n, t.degree * e))
 
 
 # --------------------------------------------------------------------------

@@ -323,6 +323,16 @@ def test_coverage_deterministic_across_worker_counts(tmp_path, monkeypatch):
     assert alone.rows == report.rows[2:]
 
 
+def test_bias_corrected_coverage_deterministic_across_worker_counts(tmp_path, monkeypatch):
+    cells = dict(statistic="skewness", sample_sizes=(40,), grid_size=17, bias_correction=True)
+    outputs = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("FDBANDS_WORKERS", workers)
+        outputs.append(tmp_path / f"w{workers}.csv")
+        run_coverage(_tiny_config(output=str(outputs[-1]), **cells))
+    assert outputs[0].read_bytes() == outputs[1].read_bytes()
+
+
 def test_one_pool_per_coverage_run(monkeypatch):
     pools = []
     pool_class = harness.ProcessPoolExecutor

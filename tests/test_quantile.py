@@ -28,6 +28,7 @@ from fdbands import (
 )
 from fdbands import quantile
 from fdbands.fdata import FunctionalSample
+from fdbands.rng import METHOD_DRAW
 from fdbands.quantile import _ec_terms, _multiplier_blocks, _plain_factor
 from fdbands.simmodels import ModelSpec, sample_model
 from fdbands.simmodels import chol_psd
@@ -367,6 +368,12 @@ def test_bootstrap_quantile_monotone_in_alpha():
         for a in (0.01, 0.05, 0.2, 0.4)
     ]
     assert all(x >= y for x, y in zip(qs, qs[1:]))
+
+
+def test_default_multiplier_key_draws_a_method_stream():
+    # draw 0 is the sample's stream: StreamKey(0)'s normals are the
+    # coefficients of sample_model(..., StreamKey(0))
+    assert MultiplierConfig().key == StreamKey(0, 0, METHOD_DRAW)
 
 
 def test_multiplier_config_validation():

@@ -19,6 +19,7 @@ from fdbands import (
     sample_model,
 )
 from fdbands import scb as scb_module
+from fdbands.rng import METHOD_DRAW
 
 GRID = Grid.equispaced(5)
 
@@ -101,6 +102,13 @@ def test_gauss_test_result_invariant_and_determinism():
     assert res.reject == (res.max_stat > res.threshold)
     res2 = gauss_test(sample, "skewness_z", 0.05, "mult", "gaussian_exact", b=300, key=StreamKey(2))
     assert res.max_stat == res2.max_stat and res.reject == res2.reject
+
+
+def test_gauss_test_default_key_is_the_method_stream():
+    sample = _model_sample("A", 60, 1)
+    got = gauss_test(sample, b=300)
+    want = gauss_test(sample, b=300, key=StreamKey(0, 0, METHOD_DRAW))
+    assert (got.max_stat, got.threshold, got.reject) == (want.max_stat, want.threshold, want.reject)
 
 
 @pytest.mark.parametrize("se_mode", ["gaussian_exact", "estimated"])

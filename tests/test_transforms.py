@@ -161,6 +161,16 @@ def test_se_estimate_equals_residual_set_se_exactly(name):
     assert np.array_equal(se_estimate(drs).values, drs.se.values)
 
 
+def test_se_estimate_is_finite_where_the_sets_se_is():
+    # the residuals of the mean at 2^600 square past the float range; the
+    # set's se, formed in the scaled frame, does not
+    base = sample_model(ModelSpec("A"), 600, Grid.equispaced(100), StreamKey(1))
+    sample = FunctionalSample(base.grid, np.ldexp(base.values, 600))
+    drs = delta_residuals(get_transformation("mean"), sample)
+    assert np.all(np.isfinite(drs.se.values))
+    assert np.array_equal(se_estimate(drs).values, drs.se.values)
+
+
 def test_se_zero_for_degenerate_mean_residuals():
     drs = delta_residuals(get_transformation("mean"), _sample([2.0, 2.0, 2.0]))
     assert np.all(drs.residuals == 0.0)
@@ -490,6 +500,22 @@ def test_residuals_and_lkc_hold_one_n_by_t_array_beyond_the_sample():
     finally:
         tracemalloc.stop()
     assert drs.residuals.nbytes == 3_200_000
+    assert peak < 5.0e6
+
+
+def test_bias_holds_one_n_by_t_array_beyond_the_sample():
+    # the cross moments of the influence functions come from the central
+    # moments up to order 2K, summed in row blocks, so d (3.2 MB) is the only
+    # N x T array; one influence-function array per order would hold 4 more
+    sample = sample_model(ModelSpec("A"), 1000, Grid.equispaced(400), StreamKey(1))
+    t = get_transformation("kurtosis_z", 1000)
+    bias_estimate(t, sample)
+    tracemalloc.start()
+    try:
+        bias_estimate(t, sample)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert peak < 5.0e6
 
 
