@@ -57,6 +57,7 @@ from .transforms import (
     ZTransformParams,
     bias_estimate,
     delta_residuals,
+    estimate_lkc1,
     evaluate,
     gaussian_bias_g2,
     gaussian_cohens_d_cov,
@@ -73,12 +74,11 @@ from .quantile import (
     QuantileEstimate,
     bootstrap_quantile,
     ec_density,
-    estimate_lkc1,
     estimate_quantile,
     gkf_quantile,
     hermite,
 )
-from .scb import GaussTestResult, Scb, construct_scb, covers, gauss_test
+from .scb import GaussTestResult, Scb, band_parts, construct_scb, covers, gauss_test
 from .harness import (
     CoverageReport,
     CoverageRow,

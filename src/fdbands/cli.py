@@ -19,12 +19,12 @@ from .errors import (
     UnsupportedOrder,
 )
 from .fdata import Grid, csv_row, read_sample_csv, write_csv, write_sample_csv
-from .harness import ExperimentConfig, band_curves, run_coverage
-from .quantile import QUANTILE_METHODS, estimate_quantile
+from .harness import ExperimentConfig, run_coverage
+from .quantile import QUANTILE_METHODS
 from .rng import METHOD_DRAW, NOISE_DRAW, SAMPLE_DRAW, StreamKey
-from .scb import SE_MODES, gauss_test
+from .scb import SE_MODES, band_curves, band_parts, gauss_test
 from .simmodels import MODEL_A_BANDWIDTH, ModelSpec, add_observation_noise, sample_model
-from .transforms import GAUSSIAN_NULL_STATISTICS, TRANSFORMATION_NAMES, delta_residuals, get_transformation
+from .transforms import GAUSSIAN_NULL_STATISTICS, TRANSFORMATION_NAMES
 from .verify import ORACLES, run_oracles, write_oracle_csv
 
 _CONFIG_ERRORS = (ConfigError, NotAvailable, SampleTooSmall, UnsupportedOrder)
@@ -118,10 +118,8 @@ def _cmd_band(args) -> int:
 
 def _cmd_quantile(args) -> int:
     sample = read_sample_csv(args.infile)
-    t = get_transformation(args.stat, sample.n)
-    drs = delta_residuals(t, sample)
     key = StreamKey(args.seed, 0, METHOD_DRAW)
-    q = estimate_quantile(drs, args.method, args.alpha, b=args.b, key=key)
+    q = band_parts(sample, args.stat, args.method, args.alpha, args.b, key)[1]
     if args.out:
         write_csv(args.out, "statistic,method,alpha,q", [(args.stat, q.method, q.alpha, q.q)])
     else:
@@ -170,6 +168,8 @@ def _cmd_coverage(args) -> int:
 
 def _cmd_verify(args) -> int:
     names = [n.strip() for n in args.oracle.split(",") if n.strip()]
+    if not names:
+        raise ConfigError(f"no oracle selected; pass 'all' or some of {', '.join(ORACLES)}")
     if names == ["all"]:
         names = list(ORACLES)
     unknown = [n for n in names if n not in ORACLES]

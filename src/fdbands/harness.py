@@ -25,7 +25,7 @@ import numpy as np
 
 from .blas import set_blas_threads
 from .errors import ConfigError, DomainGuardViolation, NotAvailable
-from .fdata import Curve, FunctionalSample, Grid, write_csv
+from .fdata import Curve, Grid, write_csv
 from .quantile import (
     BOOTSTRAP_METHODS,
     GKF_METHODS,
@@ -38,6 +38,7 @@ from .quantile import (
 )
 from .rng import METHOD_DRAW, NOISE_DRAW, SAMPLE_DRAW, StreamKey
 from .scb import SE_MODES, check_gaussian_exact, construct_scb, covers, gaussian_exact_null
+from .scb import band_curves  # noqa: F401  (importable from here too)
 from .simmodels import (
     MODEL_A_BANDWIDTH,
     ModelSpec,
@@ -134,6 +135,8 @@ class ExperimentConfig:
             val = val.strip()
             if key not in _CONFIG_KEYS:
                 raise ConfigError(f"config line {lineno}: unknown key {key!r}")
+            if key in values:
+                raise ConfigError(f"config line {lineno}: duplicate key {key!r}")
             values[key] = val
         return cls._from_strings(values)
 
@@ -287,21 +290,20 @@ class _Cell:
     spec: ModelSpec
     transformation: Transformation
     truth: Curve
-    known_se: Curve | None  # the exact se and bias, set only for se_mode gaussian_exact
-    known_bias: Curve | None
+    exact: tuple[Curve, Curve] | None  # the exact (se, bias), set only for se_mode gaussian_exact
 
 
 def _cells(cfg: ExperimentConfig) -> tuple[_Cell, ...]:
     """One cell per sample size, in config order."""
     grid = Grid.equispaced(cfg.grid_size)
     spec = ModelSpec(cfg.model, bandwidth=cfg.bandwidth, jitter=cfg.jitter)
-    truth = truth_curve(spec, cfg.statistic, grid)
+    stat = cfg.statistic
+    truth = truth_curve(spec, stat, grid)
     exact = cfg.se_mode == "gaussian_exact"
     return tuple(
         _Cell(
-            n, grid, spec, get_transformation(cfg.statistic, n), truth,
-            gaussian_exact_se(spec, cfg.statistic, grid, n) if exact else None,
-            gaussian_exact_bias(spec, cfg.statistic, grid, n) if exact else None,
+            n, grid, spec, get_transformation(stat, n), truth,
+            (gaussian_exact_se(spec, stat, grid, n), gaussian_exact_bias(spec, stat, grid, n)) if exact else None,
         )
         for n in cfg.sample_sizes
     )
@@ -313,9 +315,8 @@ def _replicate(cfg: ExperimentConfig, cell: _Cell, rep: int):
     sample = add_observation_noise(sample, cfg.noise_sigma, StreamKey(cfg.seed, rep, NOISE_DRAW))
     try:
         drs = delta_residuals(cell.transformation, sample)
-        se = drs.se if cell.known_se is None else cell.known_se
-        # only gaussian_exact has a known bias, and it rules out bias_correction
-        bias = bias_estimate(cell.transformation, sample) if cfg.bias_correction else cell.known_bias
+        # scb.band_parts' se/bias rule, with the model's exact pair in place of the null's
+        se, bias = cell.exact or (drs.se, bias_estimate(cell.transformation, sample) if cfg.bias_correction else None)
         flags = []
         for i, method in enumerate(cfg.methods):
             key = StreamKey(cfg.seed, rep, METHOD_DRAW + i)
@@ -351,15 +352,16 @@ def _pool_replicate(task: tuple[int, int]):
 # --------------------------------------------------------------------------
 
 def resolve_workers(configured: int = 0) -> int:
+    """FDBANDS_WORKERS if set, else the configured count; 0 means all cores."""
     env = os.environ.get(WORKERS_ENV_VAR)
     if env:
         try:
-            return max(1, int(env))
+            configured = int(env)
         except ValueError:
             raise ConfigError(f"{WORKERS_ENV_VAR}={env!r} is not an integer") from None
-    if configured > 0:
-        return configured
-    return available_cores()
+        if configured < 0:
+            raise ConfigError(f"{WORKERS_ENV_VAR} must be >= 0, got {env!r}")
+    return configured if configured > 0 else available_cores()
 
 
 def available_cores() -> int:
@@ -438,24 +440,3 @@ def run_coverage(cfg: ExperimentConfig) -> CoverageReport:
     )
     return report
 
-
-def band_curves(
-    sample: FunctionalSample,
-    statistic: str,
-    method: str,
-    alpha: float,
-    b: int,
-    key: StreamKey,
-    se_mode: str = "estimated",
-    bias_correction: bool = False,
-):
-    """Single-sample band assembly shared by the CLI band/quantile commands."""
-    t = get_transformation(statistic, sample.n)
-    drs = delta_residuals(t, sample)
-    q = estimate_quantile(drs, method, alpha, b=b, key=key)
-    if se_mode == "gaussian_exact":
-        se, bias = gaussian_exact_null(statistic, sample.grid, sample.n, bias_correction)
-    else:
-        se = drs.se
-        bias = bias_estimate(t, sample) if bias_correction else None
-    return construct_scb(drs.estimate, se, q, bias=bias)

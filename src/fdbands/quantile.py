@@ -25,12 +25,10 @@ from .errors import (
     DegenerateResiduals,
     DegreeOutOfRange,
     NoRoot,
-    ShapeMismatch,
     ZeroSe,
 )
-from .fdata import Curve, Grid
 from .rng import METHOD_DRAW, StreamKey
-from .transforms import DeltaResidualSet, add_rows, row_blocks
+from .transforms import DeltaResidualSet
 
 # bootstrap method name -> (multiplier kind, studentize)
 _MULTIPLIERS = {
@@ -311,35 +309,6 @@ def ec_density(d: int, u, field_kind: str = "gaussian", nu: float | None = None)
     u = np.asarray(u, dtype=float)
     out = np.array([_ec_terms(float(x), field_kind, nu)[d] for x in u.flat]).reshape(u.shape)
     return out if out.ndim else float(out)
-
-
-def estimate_lkc1(residuals: np.ndarray, se: Curve, grid: Grid) -> float:
-    """First Lipschitz-Killing curvature from variance-normalized residuals.
-
-    Normalizes each residual curve to unit empirical variance and sums the
-    root-mean-square increments over the grid; on an interval this
-    estimates the integral of the sd of the field's derivative.
-    """
-    residuals = np.asarray(residuals, dtype=float)
-    if residuals.ndim != 2 or residuals.shape[1] != len(grid):
-        raise ShapeMismatch(f"residuals must be N x {len(grid)}, got {residuals.shape}")
-    if len(grid) < 3:
-        raise ShapeMismatch("LKC estimation needs at least 3 grid points")
-    if len(se.grid) != len(grid):
-        raise ShapeMismatch("se curve and grid length differ")
-    if np.any(se.values <= 0.0):
-        raise ZeroSe("LKC estimation needs positive se at every grid point")
-    n, t = residuals.shape
-    scale = math.sqrt(n) * se.values
-    blocks, increments = row_blocks(n, t - 1)
-    normalized = np.empty((len(increments), t))
-    total = None
-    for blk in blocks:
-        z = np.divide(residuals[blk], scale, out=normalized[: blk.stop - blk.start])
-        inc = np.subtract(z[:, 1:], z[:, :-1], out=increments[1 : len(z) + 1])
-        inc *= inc
-        total = add_rows(total, increments, len(z))
-    return float(np.sum(np.sqrt(total / n)))
 
 
 def gkf_quantile(cfg: GkfConfig, alpha: float) -> QuantileEstimate:

@@ -110,6 +110,30 @@ def covers(scb: Scb, truth: Curve) -> bool:
     )
 
 
+def band_parts(
+    sample: FunctionalSample, statistic: str, method: str, alpha: float, b: int, key: StreamKey,
+    se_mode: str = "estimated", bias_correction: bool = False,
+):
+    """(drs, q, se, bias) of a single-sample band: the residual set, its
+    max-quantile, and the exact null sd and mean for se_mode gaussian_exact,
+    else the plug-in se and the plug-in bias if bias_correction (else None).
+    """
+    if se_mode not in SE_MODES:
+        raise ConfigError(f"se_mode must be one of {SE_MODES}, got {se_mode!r}")
+    t = get_transformation(statistic, sample.n)
+    drs = delta_residuals(t, sample)
+    q = estimate_quantile(drs, method, alpha, b=b, key=key)
+    if se_mode == "gaussian_exact":
+        return drs, q, *gaussian_exact_null(statistic, sample.grid, sample.n, bias_correction)
+    return drs, q, drs.se, bias_estimate(t, sample) if bias_correction else None
+
+
+def band_curves(sample, statistic, method, alpha, b, key, se_mode="estimated", bias_correction=False) -> Scb:
+    """The band estimate - bias +/- q se of band_parts, as `fdbands band` writes it."""
+    drs, q, se, bias = band_parts(sample, statistic, method, alpha, b, key, se_mode, bias_correction)
+    return construct_scb(drs.estimate, se, q, bias=bias)
+
+
 def gauss_test(
     sample: FunctionalSample,
     statistic: str = "skewness_z",
@@ -132,28 +156,19 @@ def gauss_test(
         raise ConfigError(
             f"gauss_test statistic must be one of {GAUSSIAN_NULL_STATISTICS}, got {statistic!r}"
         )
-    if se_mode not in SE_MODES:
-        raise ConfigError(f"se_mode must be one of {SE_MODES}, got {se_mode!r}")
     n = sample.n
     minimum = max(min_sample_size(statistic), MIN_N["gaussian_null"])
     if n < minimum:
         raise SampleTooSmall(f"{statistic} test needs n >= {minimum}, got {n}")
 
-    transformation = get_transformation(statistic, n)
-    drs = delta_residuals(transformation, sample)
-    q = estimate_quantile(drs, quantile_method, alpha, b=b, key=key)
-
+    drs, q, sd, bias = band_parts(sample, statistic, quantile_method, alpha, b, key, se_mode, bias_correction)
     grid = sample.grid
-    if se_mode == "gaussian_exact":
-        sd, null_mean = gaussian_exact_null(statistic, grid, n, bias_correction)
-        centered = drs.estimate.values - null_mean.values
-    else:
-        if np.any(drs.se.values <= 0.0):
+    centered = drs.estimate.values if bias is None else drs.estimate.values - bias.values
+    if se_mode == "estimated":
+        # the exact null sd is one number, so only the estimated se standardizes
+        if np.any(sd.values <= 0.0):
             raise ConfigError("estimated se vanished; cannot standardize the test")
-        centered = drs.estimate.values
-        if bias_correction:
-            centered = centered - bias_estimate(transformation, sample).values
-        centered = centered / drs.se.values
+        centered = centered / sd.values
         sd = Curve(grid, np.ones(len(grid)))  # threshold q * 1.0 is q exactly
     max_stat = float(np.max(np.abs(centered)))
     threshold = q.q * float(sd.values[0])

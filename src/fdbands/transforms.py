@@ -19,7 +19,8 @@ are the empirical influence function of H (Hampel, JASA 1974).  They sum to
 zero pointwise and their empirical covariance N^-1 sum R~ R~^T converges to
 the covariance of the limiting process of
 sqrt(N) (H(sample moments) - H(population moments)).  They drive both the
-multiplier bootstrap and the kinematic-formula quantile estimates.  Each
+multiplier bootstrap and the kinematic-formula quantile estimates, whose
+first Lipschitz-Killing curvature estimate_lkc1 reads from them.  Each
 grid point is worked on d 2^-e, with e chosen so that max |d 2^-e| lies in
 [0.5, 1) (Chan, Golub & LeVeque, Am. Stat. 1983), so no power cancels,
 overflows or underflows; H is homogeneous of a known degree in the data,
@@ -41,7 +42,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, DomainGuardViolation, NotAvailable, SampleTooSmall, ShapeMismatch
+from .errors import ConfigError, DomainGuardViolation, NotAvailable, SampleTooSmall, ShapeMismatch, ZeroSe
 from .fdata import Curve, FunctionalSample, Grid
 from .moments import MomentEstimates, MomentOrders
 
@@ -121,10 +122,8 @@ class DeltaResidualSet:
 
     @functools.cached_property
     def lkc1(self) -> float:
-        """quantile.estimate_lkc1 of these residuals, computed once per set."""
-        from . import quantile  # quantile imports this module
-
-        return quantile.estimate_lkc1(self.residuals, self.se, self.grid)
+        """estimate_lkc1 of these residuals, computed once per set."""
+        return estimate_lkc1(self.residuals, self.se, self.grid)
 
 
 def _raw_to_central(a: np.ndarray, order: int):
@@ -437,25 +436,57 @@ def add_rows(acc: np.ndarray | None, buf: np.ndarray, m: int) -> np.ndarray:
     return buf[: m + 1].sum(axis=0)
 
 
-def _scaled_frame(t: Transformation, sample: FunctionalSample, order: int | None = None):
+def estimate_lkc1(residuals: np.ndarray, se: Curve, grid: Grid) -> float:
+    """First Lipschitz-Killing curvature from variance-normalized residuals.
+
+    Normalizes each residual curve to unit empirical variance and sums the
+    root-mean-square increments over the grid; on an interval this
+    estimates the integral of the sd of the field's derivative.
+    """
+    residuals = np.asarray(residuals, dtype=float)
+    if residuals.ndim != 2 or residuals.shape[1] != len(grid):
+        raise ShapeMismatch(f"residuals must be N x {len(grid)}, got {residuals.shape}")
+    if len(grid) < 3:
+        raise ShapeMismatch("LKC estimation needs at least 3 grid points")
+    if len(se.grid) != len(grid):
+        raise ShapeMismatch("se curve and grid length differ")
+    if np.any(se.values <= 0.0):
+        raise ZeroSe("LKC estimation needs positive se at every grid point")
+    n, t = residuals.shape
+    scale = math.sqrt(n) * se.values
+    blocks, increments = row_blocks(n, t - 1)
+    normalized = np.empty((len(increments), t))
+    total = None
+    for blk in blocks:
+        z = np.divide(residuals[blk], scale, out=normalized[: blk.stop - blk.start])
+        inc = np.subtract(z[:, 1:], z[:, :-1], out=increments[1 : len(z) + 1])
+        inc *= inc
+        total = add_rows(total, increments, len(z))
+    return float(np.sum(np.sqrt(total / n)))
+
+
+def _scaled_frame(t: Transformation, sample: FunctionalSample, order: int | None = None, keep_d: bool = True):
     """(d, e, c) at every grid point, with H's domain guard checked on c[:K],
     and the row_blocks (blocks, buf) that formed the powers of d.
 
     d = (X - mean) 2^-e, with the integer e chosen so that max |d| lies in
     [0.5, 1) (e = 0 for a constant column), and c = (mean 2^-e, m2, ...,
     m_order) holds the mean and the central moments of d up to the given
-    order (default H's own K).
+    order (default H's own K).  With keep_d False d is None: each block of
+    it is formed in one block-sized scratch array.
     """
     k = len(t.orders)
     x, n = sample.values, sample.n
     mean = x.mean(axis=0)
     # rounding is monotone, so these are max (X - mean) and -min (X - mean)
     e = np.frexp(np.maximum(x.max(axis=0) - mean, mean - x.min(axis=0)))[1]
-    d = np.empty_like(x)
+    d = np.empty_like(x) if keep_d else None
     blocks, buf = row_blocks(n, sample.t)
+    scratch = d if keep_d else np.empty_like(buf[1:])
     sums = [None] * (order or k)
     for blk in blocks:
-        block = np.ldexp(np.subtract(x[blk], mean, out=d[blk]), -e, out=d[blk])
+        out = scratch[blk if keep_d else slice(blk.stop - blk.start)]
+        block = np.ldexp(np.subtract(x[blk], mean, out=out), -e, out=out)
         power = block
         for r in range(1, len(sums)):
             power = np.multiply(power, block, out=buf[1 : len(block) + 1])
@@ -526,13 +557,13 @@ def bias_estimate(t: Transformation, sample: FunctionalSample) -> Curve:
     N^-1 sum_n psi_r psi_s the cross moment of the influence functions.
     With psi_r = d^r - m_r - a_r d, a_1 = 0 and a_r = r m_{r-1}, C_rs =
     m_{r+s} - m_r m_s - a_s m_{r+1} - a_r m_{s+1} + a_r a_s m2 needs only
-    the central moments up to order 2K, which the frame sums row block by
-    row block.  This is exactly the raw expansion (2N)^-1 sum_{j,k}
-    d2H/da_j da_k (a_{j+k} - a_j a_k) in the raw moments a.  Identically
-    zero for linear H.
+    the central moments up to order 2K, which the frame sums one row block
+    at a time, without keeping d.  This is exactly the raw expansion
+    (2N)^-1 sum_{j,k} d2H/da_j da_k (a_{j+k} - a_j a_k) in the raw moments
+    a.  Identically zero for linear H.
     """
     k = len(t.orders)
-    _, e, c, *_ = _scaled_frame(t, sample, 2 * k)
+    _, e, c, *_ = _scaled_frame(t, sample, 2 * k, keep_d=False)
     _, grad, hess = t.central(c[:k])
     m = [1.0, 0.0, *c[1:]]
     a = [0.0, 0.0, *(r * m[r - 1] for r in range(2, k + 1))]

@@ -81,6 +81,14 @@ def test_verify_subcommand(tmp_path):
     assert "bessel_k" in out.read_text()
 
 
+def test_verify_with_no_oracle_selected_exits_one(tmp_path, capsys):
+    out = tmp_path / "oracle.csv"
+    for selection in (",", ""):
+        assert main(["verify", "--oracle", selection, "--out", str(out)]) == 1
+        assert "no oracle selected" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_coverage_without_a_truth_curve_exits_one_before_any_work(tmp_path, monkeypatch):
     def no_run(cfg):
         raise AssertionError("the run started")

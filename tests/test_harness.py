@@ -12,11 +12,17 @@ import pytest
 
 from fdbands import (
     ConfigError,
+    Curve,
     Grid,
     ModelSpec,
     NotAvailable,
     SampleTooSmall,
     StreamKey,
+    gaussian_cohens_d_cov,
+    model_a_cov,
+    model_amplitude,
+    model_b_corr_matrix,
+    model_mean,
     run_coverage,
     sample_model,
     truth_curve,
@@ -34,6 +40,7 @@ from fdbands.harness import (
     resolve_workers,
 )
 from fdbands.transforms import gaussian_se_g1
+from fdbands.verify import isserlis_moment_cov
 
 _SRC = str(Path(harness.__file__).resolve().parents[1])
 
@@ -82,6 +89,11 @@ def test_config_rejects_bad_values(line, error_bit):
     with pytest.raises(ConfigError) as err:
         ExperimentConfig.from_text(line)
     assert error_bit in str(err.value)
+
+
+def test_config_rejects_a_repeated_key():
+    with pytest.raises(ConfigError, match=r"^config line 3: duplicate key 'replicates'$"):
+        ExperimentConfig.from_text("replicates = 100\nseed = 1\nReplicates = 200\n")
 
 
 def test_config_kurtosis_z_minimum_n():
@@ -196,6 +208,14 @@ def test_resolve_workers_env_override(monkeypatch):
         resolve_workers()
 
 
+def test_resolve_workers_env_follows_the_workers_rule(monkeypatch):
+    monkeypatch.setenv("FDBANDS_WORKERS", "0")
+    assert resolve_workers(5) == available_cores()
+    monkeypatch.setenv("FDBANDS_WORKERS", "-3")
+    with pytest.raises(ConfigError, match="FDBANDS_WORKERS must be >= 0"):
+        resolve_workers(5)
+
+
 # --------------------------------------------------------------------------
 # truth curves
 # --------------------------------------------------------------------------
@@ -259,6 +279,24 @@ def test_gaussian_exact_se_and_bias_curves():
     assert np.all(gaussian_exact_bias("A", "skewness", grid, n).values == 0.0)
     with pytest.raises(NotAvailable):
         gaussian_exact_se("C", "skewness", grid, n)
+
+
+@pytest.mark.parametrize("kind", ["A", "B"])
+def test_gaussian_exact_se_matches_the_model_covariance(kind):
+    grid = Grid.equispaced(9)
+    n = 80
+    amp = model_amplitude(kind, grid.points)
+    cov = model_a_cov(grid) if kind == "A" else np.outer(amp, amp) * model_b_corr_matrix(grid)
+    mu, sigma, centered = (Curve(grid, v) for v in (model_mean(kind, grid.points), amp, np.zeros(9)))
+    closed = {
+        "mean": np.diag(cov),
+        "variance": np.diag(isserlis_moment_cov(centered, cov, 2, 2)),
+        "cohens_d": np.diag(gaussian_cohens_d_cov(mu, sigma, cov)),
+    }
+    for statistic, var in closed.items():
+        got = gaussian_exact_se(kind, statistic, grid, n).values
+        np.testing.assert_allclose(got, np.sqrt(var / n), rtol=1e-15, atol=0, err_msg=statistic)
+    assert np.array_equal(gaussian_exact_bias(kind, "variance", grid, n).values, -(amp * amp) / n)
 
 
 # --------------------------------------------------------------------------
@@ -502,6 +540,22 @@ def test_gaussian_exact_kurtosis_centers_with_known_bias():
     )
     report = run_coverage(cfg)
     assert 0.0 <= report.rows[0].coverage <= 1.0
+
+
+def test_gaussian_exact_cohens_d_bands_use_the_model_se(monkeypatch):
+    scales = []
+    build = harness.construct_scb
+
+    def recording(estimate, se, q, bias=None):
+        scales.append(se.values)
+        return build(estimate, se, q, bias=bias)
+
+    monkeypatch.setattr(harness, "construct_scb", recording)
+    cfg = _tiny_config(statistic="cohens_d", se_mode="gaussian_exact", sample_sizes=(40,), grid_size=30)
+    row = run_coverage(cfg).rows[0]
+    assert row.successes == 100 and 0.8 <= row.coverage <= 1.0
+    exact = gaussian_exact_se("A", "cohens_d", Grid.equispaced(30), 40).values
+    assert len(scales) == 100 and all(np.array_equal(se, exact) for se in scales)
 
 
 def test_band_curves_modes(tmp_path):

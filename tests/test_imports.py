@@ -2,9 +2,11 @@
 correlation and the quadrature oracle import parts of it, on first use.
 
 Each case runs in a fresh interpreter and counts modules, so nothing here
-depends on timing.
+depends on timing.  The package's own modules import each other without a
+cycle, counting the imports inside functions.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -71,6 +73,43 @@ def test_model_b_sampling_loads_only_scipy_special():
 
 def test_model_a_sampling_loads_no_scipy():
     assert _scipy_modules_after(_SAMPLE.format(kind="A")) == set()
+
+
+def _package_import_graph() -> dict[str, set[str]]:
+    """Module -> the package modules its code imports, at any depth (the
+    package's modules are one level deep, so relative imports have level 1)."""
+    package = Path(fdbands.__file__).parent
+    modules = {path.stem for path in package.glob("*.py")}
+    graph = {}
+    for name in modules:
+        imported = []
+        for node in ast.walk(ast.parse((package / f"{name}.py").read_text())):
+            if isinstance(node, ast.Import):
+                imported += [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = ".".join(filter(None, ["fdbands" if node.level else "", node.module]))
+                imported += [f"{base}.{alias.name}" for alias in node.names]
+        parts = [f"{q}.".split(".") for q in imported]
+        graph[name] = {p[1] if p[1] in modules else "__init__" for p in parts if p[0] == "fdbands"}
+    return graph
+
+
+def test_package_import_graph_has_no_cycle():
+    graph = _package_import_graph()
+    assert graph["transforms"] >= {"fdata", "moments"}  # the scan sees imports
+    done, path = set(), []
+
+    def visit(name):
+        assert name not in path, "import cycle: " + " -> ".join(path[path.index(name):] + [name])
+        if name not in done:
+            path.append(name)
+            for target in sorted(graph[name]):
+                visit(target)
+            path.pop()
+            done.add(name)
+
+    for name in sorted(graph):
+        visit(name)
 
 
 def test_import_deferred_loads_scipy_special_for_tgkf_only():

@@ -26,7 +26,7 @@ from fdbands import (
     gkf_quantile,
     hermite,
 )
-from fdbands import quantile
+from fdbands import transforms
 from fdbands.fdata import FunctionalSample
 from fdbands.rng import METHOD_DRAW
 from fdbands.quantile import _ec_terms, _multiplier_blocks, _plain_factor
@@ -428,13 +428,13 @@ def test_lkc_squared_exponential_reference():
 
 def test_lkc1_is_estimated_once_per_residual_set(monkeypatch):
     calls = []
-    estimate = quantile.estimate_lkc1
+    estimate = transforms.estimate_lkc1
 
     def counting(*args):
         calls.append(args)
         return estimate(*args)
 
-    monkeypatch.setattr(quantile, "estimate_lkc1", counting)
+    monkeypatch.setattr(transforms, "estimate_lkc1", counting)
     drs = delta_residuals(
         get_transformation("kurtosis_z", 40),
         sample_model(ModelSpec("A"), 40, Grid.equispaced(12), StreamKey(5)),

@@ -13,9 +13,14 @@ from fdbands import (
     SampleTooSmall,
     ShapeMismatch,
     StreamKey,
+    band_parts,
+    bias_estimate,
     construct_scb,
     covers,
     gauss_test,
+    gaussian_bias_g2,
+    gaussian_se_g2,
+    get_transformation,
     sample_model,
 )
 from fdbands import scb as scb_module
@@ -135,6 +140,22 @@ def test_gauss_test_statistic_and_se_mode_validation():
         gauss_test(sample, "skewness", se_mode="oracle")
     with pytest.raises(ConfigError):
         gauss_test(sample, "kurtosis", se_mode="gaussian_exact", bias_correction=True, key=StreamKey(1))
+
+
+def test_band_parts_picks_the_se_and_bias():
+    sample = _model_sample("A", 60, 3)
+    args = (sample, "kurtosis", "gkf", 0.05, 200, StreamKey(2, 0, METHOD_DRAW))
+    drs, q, se, bias = band_parts(*args)
+    assert se is drs.se and bias is None
+    plugin = band_parts(*args, bias_correction=True)[3]
+    assert np.array_equal(plugin.values, bias_estimate(get_transformation("kurtosis"), sample).values)
+    _, q_exact, se, bias = band_parts(*args, se_mode="gaussian_exact")
+    assert q_exact.q == q.q
+    assert np.all(se.values == gaussian_se_g2(60)) and np.all(bias.values == gaussian_bias_g2(60))
+    with pytest.raises(ConfigError):
+        band_parts(*args, se_mode="gaussian_exact", bias_correction=True)
+    with pytest.raises(ConfigError, match="se_mode must be one of"):
+        band_parts(*args, se_mode="gausian_exact")
 
 
 def test_gauss_test_minimum_sample_sizes():

@@ -519,6 +519,22 @@ def test_bias_holds_one_n_by_t_array_beyond_the_sample():
     assert peak < 5.0e6
 
 
+@pytest.mark.parametrize("statistic", ["cohens_d", "skewness_z", "kurtosis_z"])
+def test_bias_builds_no_n_by_t_array(statistic):
+    # bias_estimate reads only the power sums of d, so d lives one row block
+    # (about 0.26 MB) at a time; a whole d would be 3.2 MB
+    sample = sample_model(ModelSpec("A"), 1000, Grid.equispaced(400), StreamKey(1))
+    t = get_transformation(statistic, 1000)
+    bias_estimate(t, sample)
+    tracemalloc.start()
+    try:
+        bias_estimate(t, sample)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.0e6
+
+
 # (N, T): one row block at T = 3; three blocks, the last ragged, at T = 3;
 # three full blocks; two full blocks and a ragged one; four blocks of 6, 6,
 # 6 and 2 rows
