@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 
 from .errors import (
@@ -87,6 +88,12 @@ def _sample_statistic_args(p, statistics=TRANSFORMATION_NAMES, default_stat="coh
     p.add_argument("--seed", type=int, default=0)
 
 
+def _require_out_dir(path) -> None:
+    """Fail before a long run whose output could only fail to be written at its end."""
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise FileNotFoundError(f"no directory to write {path!r} in")
+
+
 def _cmd_simulate(args) -> int:
     spec = ModelSpec(args.model, bandwidth=args.bandwidth, jitter=args.jitter)
     grid = Grid.equispaced(args.t)
@@ -161,6 +168,7 @@ def _cmd_coverage(args) -> int:
         cfg = dataclasses.replace(cfg, output=args.out)
     if not cfg.output:
         raise ConfigError("no output path: set output= in the config or pass --out")
+    _require_out_dir(cfg.output)
     run_coverage(cfg)
     print(f"wrote coverage report to {cfg.output}", file=sys.stderr)
     return 0
@@ -175,6 +183,7 @@ def _cmd_verify(args) -> int:
     unknown = [n for n in names if n not in ORACLES]
     if unknown:
         raise ConfigError(f"unknown oracle(s) {unknown}; known: {', '.join(ORACLES)}")
+    _require_out_dir(args.out)
     reports = run_oracles(names)
     write_oracle_csv(reports, args.out)
     failed = [r.name for r in reports if not r.passed]

@@ -37,7 +37,7 @@ from .quantile import (
     import_deferred,
 )
 from .rng import METHOD_DRAW, NOISE_DRAW, SAMPLE_DRAW, StreamKey
-from .scb import SE_MODES, check_gaussian_exact, construct_scb, covers, gaussian_exact_null
+from .scb import SE_MODES, construct_scb, covers, gaussian_exact_null
 from .scb import band_curves  # noqa: F401  (importable from here too)
 from .simmodels import (
     MODEL_A_BANDWIDTH,
@@ -52,7 +52,6 @@ from .simmodels import (
     sample_model,
 )
 from .transforms import (
-    GAUSSIAN_NULL_STATISTICS,
     TRANSFORMATION_NAMES,
     Transformation,
     bias_estimate,
@@ -97,10 +96,8 @@ class ExperimentConfig:
             raise ConfigError("need at least one quantile method")
         if self.se_mode not in SE_MODES:
             raise ConfigError(f"unknown se_mode {self.se_mode!r}")
-        if self.se_mode == "gaussian_exact":
-            if self.model == "C":
-                raise ConfigError("gaussian_exact se is undefined for the non-Gaussian model C")
-            check_gaussian_exact(self.bias_correction)
+        if self.se_mode == "gaussian_exact" and self.model == "C":
+            raise ConfigError("gaussian_exact se is undefined for the non-Gaussian model C")
         if self.replicates < 100:
             raise ConfigError(f"need at least 100 replicates, got {self.replicates}")
         check_alpha(self.alpha)
@@ -112,6 +109,10 @@ class ExperimentConfig:
             raise ConfigError("grid_size must be >= 3")
         if not self.sample_sizes:
             raise ConfigError("need at least one sample size")
+        for what, values in (("quantile method", self.methods), ("sample size", self.sample_sizes)):
+            for i, value in enumerate(values):
+                if value in values[:i]:
+                    raise ConfigError(f"repeated {what} {value!r}")
         minimum = min_sample_size(self.statistic)
         for n in self.sample_sizes:
             if n < minimum:
@@ -214,36 +215,12 @@ def truth_curve(model, statistic: str, grid: Grid) -> Curve:
 
 def gaussian_exact_se(model, statistic: str, grid: Grid, n: int) -> Curve:
     """Exact null sd of the statistic curve for the Gaussian models."""
-    kind = model.kind if isinstance(model, ModelSpec) else str(model)
-    if kind not in ("A", "B"):
-        raise NotAvailable("exact standard errors require a Gaussian model")
-    s = grid.points
-    amp = model_amplitude(kind, s)
-    statistic = statistic.lower()
-    if statistic == "mean":
-        return Curve(grid, amp / math.sqrt(n))
-    if statistic == "variance":
-        return Curve(grid, amp * amp * math.sqrt(2.0 / n))
-    if statistic == "cohens_d":
-        d = model_mean(kind, s) / amp
-        return Curve(grid, np.sqrt((1.0 + 0.5 * d * d) / n))
-    if statistic in GAUSSIAN_NULL_STATISTICS:
-        return gaussian_exact_null(statistic, grid, n)[0]
-    raise NotAvailable(f"no exact se for statistic {statistic!r}")
+    return gaussian_exact_null(statistic.lower(), grid, n, model=model)[0]
 
 
 def gaussian_exact_bias(model, statistic: str, grid: Grid, n: int) -> Curve:
     """Exact null mean shift of the estimator (zero except kurtosis/variance)."""
-    kind = model.kind if isinstance(model, ModelSpec) else str(model)
-    if kind not in ("A", "B"):
-        raise NotAvailable("exact bias requires a Gaussian model")
-    statistic = statistic.lower()
-    if statistic in GAUSSIAN_NULL_STATISTICS:
-        return gaussian_exact_null(statistic, grid, n)[1]
-    if statistic == "variance":
-        amp = model_amplitude(kind, grid.points)
-        return Curve(grid, -(amp * amp) / n)
-    return Curve(grid, np.zeros(len(grid)))
+    return gaussian_exact_null(statistic.lower(), grid, n, model=model)[1]
 
 
 # --------------------------------------------------------------------------
@@ -303,7 +280,7 @@ def _cells(cfg: ExperimentConfig) -> tuple[_Cell, ...]:
     return tuple(
         _Cell(
             n, grid, spec, get_transformation(stat, n), truth,
-            (gaussian_exact_se(spec, stat, grid, n), gaussian_exact_bias(spec, stat, grid, n)) if exact else None,
+            gaussian_exact_null(stat, grid, n, cfg.bias_correction, model=spec) if exact else None,
         )
         for n in cfg.sample_sizes
     )

@@ -16,14 +16,16 @@ quantile itself.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NonFiniteValue, SampleTooSmall, ShapeMismatch
+from .errors import ConfigError, NonFiniteValue, NotAvailable, SampleTooSmall, ShapeMismatch
 from .fdata import Curve, FunctionalSample, Grid
 from .quantile import QuantileEstimate, estimate_quantile
 from .rng import METHOD_DRAW, StreamKey
+from .simmodels import ModelSpec, model_amplitude, model_mean
 from .transforms import (
     GAUSSIAN_NULL_STATISTICS,
     MIN_N,
@@ -82,23 +84,34 @@ def construct_scb(estimate: Curve, se: Curve, q: QuantileEstimate, bias: Curve |
     )
 
 
-def check_gaussian_exact(bias_correction: bool) -> None:
-    """se_mode gaussian_exact centers with the exact null mean, so it rules out bias correction."""
-    if bias_correction:
-        raise ConfigError("gaussian_exact already centers with the exact null mean")
-
-
-def gaussian_exact_null(statistic: str, grid: Grid, n: int, bias_correction: bool = False):
-    """(se, bias) curves of se_mode gaussian_exact: the exact null sd and mean
-    of a skewness/kurtosis estimator, the same under every Gaussian model."""
-    if statistic not in GAUSSIAN_NULL_STATISTICS:
+def gaussian_exact_null(statistic: str, grid: Grid, n: int, bias_correction: bool = False, model=None):
+    """(se, bias) curves of se_mode gaussian_exact: the exact sd and mean of
+    the pointwise estimator for Gaussian samples.  Skewness/kurtosis share
+    one null under every Gaussian model; with model "A" or "B" (a ModelSpec
+    or its kind) mean, variance and cohens_d follow from its mean and amplitude.
+    """
+    kind = model.kind if isinstance(model, ModelSpec) else model
+    if kind not in (None, "A", "B"):
+        raise NotAvailable("exact standard errors require a Gaussian model")
+    if kind is None and statistic not in GAUSSIAN_NULL_STATISTICS:
         raise ConfigError(
             "gaussian_exact se from a bare sample is only defined for "
             "skewness/kurtosis statistics"
         )
-    check_gaussian_exact(bias_correction)
-    sd, null_mean = gaussian_null(statistic, n)
-    return Curve(grid, np.full(len(grid), sd)), Curve(grid, np.full(len(grid), null_mean))
+    if bias_correction:
+        raise ConfigError("gaussian_exact already centers with the exact null mean")
+    if statistic in GAUSSIAN_NULL_STATISTICS:
+        sd, null_mean = gaussian_null(statistic, n)
+        return Curve(grid, np.full(len(grid), sd)), Curve(grid, np.full(len(grid), null_mean))
+    amp, zero = model_amplitude(kind, grid.points), Curve(grid, np.zeros(len(grid)))
+    if statistic == "mean":
+        return Curve(grid, amp / math.sqrt(n)), zero
+    if statistic == "variance":
+        return Curve(grid, amp * amp * math.sqrt(2.0 / n)), Curve(grid, -(amp * amp) / n)
+    if statistic == "cohens_d":
+        d = model_mean(kind, grid.points) / amp
+        return Curve(grid, np.sqrt((1.0 + 0.5 * d * d) / n)), zero
+    raise NotAvailable(f"no exact se for statistic {statistic!r}")
 
 
 def covers(scb: Scb, truth: Curve) -> bool:
@@ -115,17 +128,17 @@ def band_parts(
     se_mode: str = "estimated", bias_correction: bool = False,
 ):
     """(drs, q, se, bias) of a single-sample band: the residual set, its
-    max-quantile, and the exact null sd and mean for se_mode gaussian_exact,
+    max-quantile, and the exact null sd and mean for se_mode gaussian_exact
+    (built first, so a request it rejects fails before any residual work),
     else the plug-in se and the plug-in bias if bias_correction (else None).
     """
     if se_mode not in SE_MODES:
         raise ConfigError(f"se_mode must be one of {SE_MODES}, got {se_mode!r}")
+    exact = se_mode == "gaussian_exact" and gaussian_exact_null(statistic, sample.grid, sample.n, bias_correction)
     t = get_transformation(statistic, sample.n)
     drs = delta_residuals(t, sample)
     q = estimate_quantile(drs, method, alpha, b=b, key=key)
-    if se_mode == "gaussian_exact":
-        return drs, q, *gaussian_exact_null(statistic, sample.grid, sample.n, bias_correction)
-    return drs, q, drs.se, bias_estimate(t, sample) if bias_correction else None
+    return drs, q, *(exact or (drs.se, bias_estimate(t, sample) if bias_correction else None))
 
 
 def band_curves(sample, statistic, method, alpha, b, key, se_mode="estimated", bias_correction=False) -> Scb:

@@ -102,6 +102,20 @@ def test_coverage_without_a_truth_curve_exits_one_before_any_work(tmp_path, monk
     assert not out.exists()
 
 
+def test_missing_output_directory_exits_two_before_any_work(tmp_path, monkeypatch, capsys):
+    def no_run(*args):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(cli, "run_coverage", no_run)
+    monkeypatch.setattr(cli, "run_oracles", no_run)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("model = A\nstatistic = mean\n")
+    out = tmp_path / "missing" / "x.csv"
+    assert main(["coverage", "--config", str(cfg), "--out", str(out)]) == 2
+    assert main(["verify", "--oracle", "bessel", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: no directory to write {str(out)!r} in\n" * 2
+
+
 def test_exit_code_one_on_bad_arguments(tmp_path):
     assert main(["band", "--stat", "cohens_d"]) == 1  # missing --in/--out
     assert main(["simulate", "--model", "Q", "--n", "5", "--t", "5", "--seed", "1", "--out", "x"]) == 1

@@ -28,6 +28,7 @@ from fdbands import (
     truth_curve,
 )
 from fdbands import blas, harness, simmodels
+from fdbands import scb as scb_module
 from fdbands.blas import blas_thread_counts, set_blas_threads
 from fdbands.harness import (
     CoverageReport,
@@ -136,6 +137,16 @@ def test_config_rejects_alpha_outside_gkf_range(methods):
     (dict(bandwidth=math.inf), r"^Model A bandwidth must be finite$"),
 ])
 def test_config_rejects_what_used_to_fail_in_the_run(overrides, message):
+    with pytest.raises(ConfigError, match=message):
+        ExperimentConfig(**overrides)
+
+
+@pytest.mark.parametrize("overrides,message", [
+    (dict(methods=("mult", "gkf", "mult")), r"^repeated quantile method 'mult'$"),
+    (dict(sample_sizes=(20, 20)), r"^repeated sample size 20$"),
+])
+def test_config_rejects_a_repeated_list_entry(overrides, message):
+    # a repeated method wrote rows that could not be told apart; a repeated size reran its streams
     with pytest.raises(ConfigError, match=message):
         ExperimentConfig(**overrides)
 
@@ -556,6 +567,16 @@ def test_gaussian_exact_cohens_d_bands_use_the_model_se(monkeypatch):
     assert row.successes == 100 and 0.8 <= row.coverage <= 1.0
     exact = gaussian_exact_se("A", "cohens_d", Grid.equispaced(30), 40).values
     assert len(scales) == 100 and all(np.array_equal(se, exact) for se in scales)
+
+
+def test_cells_build_the_exact_pair_once_per_cell(monkeypatch):
+    cfg = _tiny_config(statistic="kurtosis", se_mode="gaussian_exact", sample_sizes=(30, 40))
+    calls = []
+    null = scb_module.gaussian_null
+    monkeypatch.setattr(scb_module, "gaussian_null", lambda statistic, n: calls.append(n) or null(statistic, n))
+    cells = harness._cells(cfg)
+    assert calls == [30, 40]
+    assert np.all(cells[1].exact[1].values == -6.0 / 41.0)
 
 
 def test_band_curves_modes(tmp_path):

@@ -25,6 +25,7 @@ from fdbands import (
 )
 from fdbands import scb as scb_module
 from fdbands.rng import METHOD_DRAW
+from fdbands.transforms import GAUSSIAN_NULL_STATISTICS
 
 GRID = Grid.equispaced(5)
 
@@ -156,6 +157,27 @@ def test_band_parts_picks_the_se_and_bias():
         band_parts(*args, se_mode="gaussian_exact", bias_correction=True)
     with pytest.raises(ConfigError, match="se_mode must be one of"):
         band_parts(*args, se_mode="gausian_exact")
+
+
+def test_band_parts_rejects_an_exact_pair_before_any_work(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the quantile was estimated")
+
+    monkeypatch.setattr(scb_module, "estimate_quantile", no_work)
+    sample = _model_sample("A", 60, 3)
+    args = ("mult", 0.05, 200, StreamKey(2, 0, METHOD_DRAW))
+    with pytest.raises(ConfigError, match="only defined for skewness/kurtosis"):
+        band_parts(sample, "mean", *args, se_mode="gaussian_exact")
+    with pytest.raises(ConfigError, match="already centers with the exact null mean"):
+        band_parts(sample, "kurtosis", *args, se_mode="gaussian_exact", bias_correction=True)
+
+
+@pytest.mark.parametrize("statistic", GAUSSIAN_NULL_STATISTICS)
+def test_gaussian_exact_null_of_a_bare_sample_is_that_of_models_a_and_b(statistic):
+    bare = scb_module.gaussian_exact_null(statistic, GRID, 40)
+    for model in ("A", ModelSpec("B")):
+        pair = scb_module.gaussian_exact_null(statistic, GRID, 40, model=model)
+        assert all(np.array_equal(p.values, b.values) for p, b in zip(pair, bare))
 
 
 def test_gauss_test_minimum_sample_sizes():

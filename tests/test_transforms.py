@@ -503,22 +503,6 @@ def test_residuals_and_lkc_hold_one_n_by_t_array_beyond_the_sample():
     assert peak < 5.0e6
 
 
-def test_bias_holds_one_n_by_t_array_beyond_the_sample():
-    # the cross moments of the influence functions come from the central
-    # moments up to order 2K, summed in row blocks, so d (3.2 MB) is the only
-    # N x T array; one influence-function array per order would hold 4 more
-    sample = sample_model(ModelSpec("A"), 1000, Grid.equispaced(400), StreamKey(1))
-    t = get_transformation("kurtosis_z", 1000)
-    bias_estimate(t, sample)
-    tracemalloc.start()
-    try:
-        bias_estimate(t, sample)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 5.0e6
-
-
 @pytest.mark.parametrize("statistic", ["cohens_d", "skewness_z", "kurtosis_z"])
 def test_bias_builds_no_n_by_t_array(statistic):
     # bias_estimate reads only the power sums of d, so d lives one row block
