@@ -37,7 +37,7 @@ from .quantile import (
     import_deferred,
 )
 from .rng import METHOD_DRAW, NOISE_DRAW, SAMPLE_DRAW, StreamKey
-from .scb import SE_MODES, construct_scb, covers, gaussian_exact_null
+from .scb import SE_MODES, construct_scb, covers, gaussian_exact_null, residual_parts
 from .scb import band_curves  # noqa: F401  (importable from here too)
 from .simmodels import (
     MODEL_A_BANDWIDTH,
@@ -54,8 +54,6 @@ from .simmodels import (
 from .transforms import (
     TRANSFORMATION_NAMES,
     Transformation,
-    bias_estimate,
-    delta_residuals,
     get_transformation,
     min_sample_size,
 )
@@ -291,9 +289,7 @@ def _replicate(cfg: ExperimentConfig, cell: _Cell, rep: int):
     sample = sample_model(cell.spec, cell.n, cell.grid, StreamKey(cfg.seed, rep, SAMPLE_DRAW))
     sample = add_observation_noise(sample, cfg.noise_sigma, StreamKey(cfg.seed, rep, NOISE_DRAW))
     try:
-        drs = delta_residuals(cell.transformation, sample)
-        # scb.band_parts' se/bias rule, with the model's exact pair in place of the null's
-        se, bias = cell.exact or (drs.se, bias_estimate(cell.transformation, sample) if cfg.bias_correction else None)
+        drs, se, bias = residual_parts(sample, cell.transformation, cell.exact, cfg.bias_correction)
         flags = []
         for i, method in enumerate(cfg.methods):
             key = StreamKey(cfg.seed, rep, METHOD_DRAW + i)

@@ -29,7 +29,7 @@ from .simmodels import ModelSpec, model_amplitude, model_mean
 from .transforms import (
     GAUSSIAN_NULL_STATISTICS,
     MIN_N,
-    bias_estimate,
+    Transformation,
     delta_residuals,
     gaussian_null,
     get_transformation,
@@ -89,6 +89,10 @@ def gaussian_exact_null(statistic: str, grid: Grid, n: int, bias_correction: boo
     the pointwise estimator for Gaussian samples.  Skewness/kurtosis share
     one null under every Gaussian model; with model "A" or "B" (a ModelSpec
     or its kind) mean, variance and cohens_d follow from its mean and amplitude.
+    With the 1/n divisor n S^2 / sigma^2 is chi-square with n - 1 degrees of
+    freedom and independent of the mean, which gives the variance pair and,
+    through k_n = E[sigma / S] = sqrt(n/2) Gamma((n-2)/2) / Gamma((n-1)/2),
+    Cohen's d = mean / S with mean d k_n and second moment (n d^2 + 1) / (n - 3).
     """
     kind = model.kind if isinstance(model, ModelSpec) else model
     if kind not in (None, "A", "B"):
@@ -107,10 +111,13 @@ def gaussian_exact_null(statistic: str, grid: Grid, n: int, bias_correction: boo
     if statistic == "mean":
         return Curve(grid, amp / math.sqrt(n)), zero
     if statistic == "variance":
-        return Curve(grid, amp * amp * math.sqrt(2.0 / n)), Curve(grid, -(amp * amp) / n)
+        return Curve(grid, amp * amp * math.sqrt(2.0 * (n - 1)) / n), Curve(grid, -(amp * amp) / n)
     if statistic == "cohens_d":
+        if n < MIN_N["gaussian_null"]:
+            raise SampleTooSmall(f"exact cohens_d se needs n >= {MIN_N['gaussian_null']}, got {n}")
         d = model_mean(kind, grid.points) / amp
-        return Curve(grid, np.sqrt((1.0 + 0.5 * d * d) / n)), zero
+        k = math.sqrt(n / 2.0) * math.exp(math.lgamma((n - 2) / 2.0) - math.lgamma((n - 1) / 2.0))
+        return Curve(grid, np.sqrt((n * d * d + 1.0) / (n - 3) - (d * k) ** 2)), Curve(grid, d * (k - 1.0))
     raise NotAvailable(f"no exact se for statistic {statistic!r}")
 
 
@@ -123,22 +130,27 @@ def covers(scb: Scb, truth: Curve) -> bool:
     )
 
 
+def residual_parts(sample: FunctionalSample, t: Transformation, exact=None, bias_correction: bool = False):
+    """(drs, se, bias): t's residual set, swept once with the plug-in bias if
+    bias_correction, and the exact (se, bias) pair if given, else drs's own."""
+    drs = delta_residuals(t, sample, bias=bias_correction)
+    return drs, *(exact or (drs.se, drs.bias))
+
+
 def band_parts(
     sample: FunctionalSample, statistic: str, method: str, alpha: float, b: int, key: StreamKey,
     se_mode: str = "estimated", bias_correction: bool = False,
 ):
-    """(drs, q, se, bias) of a single-sample band: the residual set, its
-    max-quantile, and the exact null sd and mean for se_mode gaussian_exact
-    (built first, so a request it rejects fails before any residual work),
-    else the plug-in se and the plug-in bias if bias_correction (else None).
+    """(drs, q, se, bias) of a single-sample band: residual_parts with the
+    exact null sd and mean for se_mode gaussian_exact (built first, so a
+    request it rejects fails before any residual work), then the max-quantile.
     """
+    statistic = statistic.strip().lower()
     if se_mode not in SE_MODES:
         raise ConfigError(f"se_mode must be one of {SE_MODES}, got {se_mode!r}")
     exact = se_mode == "gaussian_exact" and gaussian_exact_null(statistic, sample.grid, sample.n, bias_correction)
-    t = get_transformation(statistic, sample.n)
-    drs = delta_residuals(t, sample)
-    q = estimate_quantile(drs, method, alpha, b=b, key=key)
-    return drs, q, *(exact or (drs.se, bias_estimate(t, sample) if bias_correction else None))
+    drs, se, bias = residual_parts(sample, get_transformation(statistic, sample.n), exact, bias_correction)
+    return drs, estimate_quantile(drs, method, alpha, b=b, key=key), se, bias
 
 
 def band_curves(sample, statistic, method, alpha, b, key, se_mode="estimated", bias_correction=False) -> Scb:

@@ -111,7 +111,7 @@ class Transformation:
 
 @dataclass(frozen=True, eq=False)
 class DeltaResidualSet:
-    """Transformed residual curves plus the derived estimate and se curves."""
+    """Transformed residual curves, the derived estimate and se curves, and the bias if asked for."""
 
     grid: Grid
     residuals: np.ndarray  # N x T
@@ -119,6 +119,7 @@ class DeltaResidualSet:
     se: Curve
     transformation: str
     n: int
+    bias: Curve | None = None
 
     @functools.cached_property
     def lkc1(self) -> float:
@@ -496,7 +497,7 @@ def _scaled_frame(t: Transformation, sample: FunctionalSample, order: int | None
     return d, e, c, blocks, buf
 
 
-def delta_residuals(t: Transformation, sample: FunctionalSample) -> DeltaResidualSet:
+def delta_residuals(t: Transformation, sample: FunctionalSample, bias: bool = False) -> DeltaResidualSet:
     """Transformed residual curves for H applied to the sample's moments.
 
     residuals[n, t] = grad_c H . psi_n(s_t), the empirical influence
@@ -505,16 +506,18 @@ def delta_residuals(t: Transformation, sample: FunctionalSample) -> DeltaResidua
     estimate, i.e. sqrt(N^-1 sum_n residual_n(s)^2) / sqrt(N).  All three
     are formed in the scaled frame and brought back with ldexp.  The
     residual array holds d until each of its row blocks is overwritten.
+    With bias the same sweep sums the moments up to order 2K, and the set
+    also carries the plug-in bias of bias_estimate.
     """
-    res, e, c, blocks, buf = _scaled_frame(t, sample)
-    value, grad, _ = t.central(c)
+    k = len(t.orders)
+    res, e, c, blocks, buf = _scaled_frame(t, sample, 2 * k if bias else None)
+    value, grad, hess = t.central(c[:k])
     # grad . psi as a polynomial in d: coef[r-1] multiplies d^r, and the
     # -r m_{r-1} d and -m_r terms of psi_r go to d^1 and d^0.
-    k = len(t.orders)
     coef = grad.copy()
     for r in range(3, k + 1):
         coef[0] -= r * grad[r - 1] * c[r - 2]
-    const = np.einsum("rp,rp->p", grad[1:], c[1:])
+    const = np.einsum("rp,rp->p", grad[1:], c[1:k])
     squares = None
     for blk in blocks:
         # Horner in the scratch block; d in res is spent by the last step
@@ -539,6 +542,7 @@ def delta_residuals(t: Transformation, sample: FunctionalSample) -> DeltaResidua
         se=Curve(sample.grid, se),
         transformation=t.name,
         n=sample.n,
+        bias=_plugin_bias(t, sample, e, c, grad, hess) if bias else None,
     )
 
 
@@ -564,7 +568,12 @@ def bias_estimate(t: Transformation, sample: FunctionalSample) -> Curve:
     """
     k = len(t.orders)
     _, e, c, *_ = _scaled_frame(t, sample, 2 * k, keep_d=False)
-    _, grad, hess = t.central(c[:k])
+    return _plugin_bias(t, sample, e, c, *t.central(c[:k])[1:])
+
+
+def _plugin_bias(t: Transformation, sample: FunctionalSample, e, c, grad, hess) -> Curve:
+    """bias_estimate's bias from the frame's moments c to order 2K and H's derivatives at c[:K]."""
+    k = len(grad)
     m = [1.0, 0.0, *c[1:]]
     a = [0.0, 0.0, *(r * m[r - 1] for r in range(2, k + 1))]
     cross = sum(

@@ -13,12 +13,15 @@ import pytest
 from fdbands import (
     ConfigError,
     Curve,
+    FunctionalSample,
     Grid,
     ModelSpec,
     NotAvailable,
     SampleTooSmall,
     StreamKey,
+    delta_residuals,
     gaussian_cohens_d_cov,
+    get_transformation,
     model_a_cov,
     model_amplitude,
     model_b_corr_matrix,
@@ -27,7 +30,7 @@ from fdbands import (
     sample_model,
     truth_curve,
 )
-from fdbands import blas, harness, simmodels
+from fdbands import blas, harness, simmodels, transforms
 from fdbands import scb as scb_module
 from fdbands.blas import blas_thread_counts, set_blas_threads
 from fdbands.harness import (
@@ -294,9 +297,11 @@ def test_gaussian_exact_se_and_bias_curves():
 
 @pytest.mark.parametrize("kind", ["A", "B"])
 def test_gaussian_exact_se_matches_the_model_covariance(kind):
+    # the finite-N pairs of the 1/N estimators, whose N se^2 tends to the
+    # diagonal of the limiting covariance at rate 1/N
     grid = Grid.equispaced(9)
-    n = 80
     amp = model_amplitude(kind, grid.points)
+    d = model_mean(kind, grid.points) / amp
     cov = model_a_cov(grid) if kind == "A" else np.outer(amp, amp) * model_b_corr_matrix(grid)
     mu, sigma, centered = (Curve(grid, v) for v in (model_mean(kind, grid.points), amp, np.zeros(9)))
     closed = {
@@ -304,10 +309,48 @@ def test_gaussian_exact_se_matches_the_model_covariance(kind):
         "variance": np.diag(isserlis_moment_cov(centered, cov, 2, 2)),
         "cohens_d": np.diag(gaussian_cohens_d_cov(mu, sigma, cov)),
     }
-    for statistic, var in closed.items():
-        got = gaussian_exact_se(kind, statistic, grid, n).values
-        np.testing.assert_allclose(got, np.sqrt(var / n), rtol=1e-15, atol=0, err_msg=statistic)
-    assert np.array_equal(gaussian_exact_bias(kind, "variance", grid, n).values, -(amp * amp) / n)
+    n = 80
+    k = math.sqrt(n / 2) * math.gamma((n - 2) / 2) / math.gamma((n - 1) / 2)
+    finite = {
+        "mean": (amp / math.sqrt(n), np.zeros(9)),
+        "variance": (amp * amp * math.sqrt(2 * (n - 1)) / n, -(amp * amp) / n),
+        "cohens_d": (np.sqrt((n * d * d + 1) / (n - 3) - (d * k) ** 2), d * (k - 1)),
+    }
+    for statistic, want in finite.items():
+        got = [c.values for c in scb_module.gaussian_exact_null(statistic, grid, n, model=kind)]
+        if statistic == "cohens_d":  # k_n from lgamma, and both of its pairs cancel about two digits
+            np.testing.assert_allclose(got, want, rtol=1e-11, atol=1e-15)
+        else:
+            assert all(np.array_equal(g, w) for g, w in zip(got, want)), statistic
+    for n in (10**2, 10**3, 10**4, 10**5):
+        for statistic, var in closed.items():
+            got = n * gaussian_exact_se(kind, statistic, grid, n).values ** 2
+            np.testing.assert_allclose(got, var, rtol=10.0 / n, atol=0, err_msg=f"{statistic} at n={n}")
+
+
+def test_gaussian_exact_variance_and_cohens_d_against_monte_carlo():
+    # each column of a 20 x R Gaussian sample is one replicate of the
+    # pointwise estimator at a grid point of Model A; the asymptotic sd of
+    # Cohen's d is 10-12% below the exact one at n = 20
+    n, reps = 20, 50_000
+    grid = Grid([0.3, 0.7])
+    mean, amp = model_mean("A", grid.points), model_amplitude("A", grid.points)
+    rng = np.random.default_rng(20260)
+    for statistic, truth in (("variance", amp * amp), ("cohens_d", mean / amp)):
+        sd, bias = (c.values for c in scb_module.gaussian_exact_null(statistic, grid, n, model="A"))
+        for i in range(len(grid)):
+            x = mean[i] + amp[i] * rng.standard_normal((n, reps))
+            sample = FunctionalSample(Grid(np.linspace(0.0, 1.0, reps)), x)
+            est = delta_residuals(get_transformation(statistic), sample).estimate.values
+            assert abs(est.std() / sd[i] - 1.0) < 0.015, (statistic, i)
+            assert abs(est.mean() - truth[i] - bias[i]) < 4.0 * sd[i] / math.sqrt(reps), (statistic, i)
+
+
+def test_config_gaussian_exact_cohens_d_minimum_n():
+    # (n d^2 + 1) / (n - 3) needs n >= 4, the minimum of the skewness/kurtosis nulls too
+    assert ExperimentConfig(statistic="cohens_d", sample_sizes=(3,)).sample_sizes == (3,)
+    with pytest.raises(SampleTooSmall, match=r"needs n >= 4, got 3$"):
+        ExperimentConfig(statistic="cohens_d", se_mode="gaussian_exact", sample_sizes=(3,))
 
 
 # --------------------------------------------------------------------------
@@ -567,6 +610,23 @@ def test_gaussian_exact_cohens_d_bands_use_the_model_se(monkeypatch):
     assert row.successes == 100 and 0.8 <= row.coverage <= 1.0
     exact = gaussian_exact_se("A", "cohens_d", Grid.equispaced(30), 40).values
     assert len(scales) == 100 and all(np.array_equal(se, exact) for se in scales)
+
+
+def test_a_bias_corrected_band_test_and_replicate_sweep_the_sample_once(monkeypatch):
+    # the residuals, se and plug-in bias come from one scaled frame each
+    calls = []
+    frame = transforms._scaled_frame
+    monkeypatch.setattr(transforms, "_scaled_frame", lambda *args, **kwargs: calls.append(1) or frame(*args, **kwargs))
+    sample = sample_model(ModelSpec("A"), 60, Grid.equispaced(10), StreamKey(4))
+    counts = []
+    scb_module.band_parts(sample, "kurtosis", "mult", 0.05, 100, StreamKey(5), bias_correction=True)
+    counts.append(len(calls))
+    scb_module.gauss_test(sample, "kurtosis", b=100, se_mode="estimated", bias_correction=True)
+    counts.append(len(calls))
+    cfg = _tiny_config(statistic="kurtosis", bias_correction=True)
+    assert harness._replicate(cfg, harness._cells(cfg)[0], 0) is not None
+    counts.append(len(calls))
+    assert counts == [1, 2, 3]
 
 
 def test_cells_build_the_exact_pair_once_per_cell(monkeypatch):

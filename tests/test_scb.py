@@ -25,6 +25,7 @@ from fdbands import (
 )
 from fdbands import scb as scb_module
 from fdbands.rng import METHOD_DRAW
+from fdbands.scb import SE_MODES
 from fdbands.transforms import GAUSSIAN_NULL_STATISTICS
 
 GRID = Grid.equispaced(5)
@@ -157,6 +158,17 @@ def test_band_parts_picks_the_se_and_bias():
         band_parts(*args, se_mode="gaussian_exact", bias_correction=True)
     with pytest.raises(ConfigError, match="se_mode must be one of"):
         band_parts(*args, se_mode="gausian_exact")
+
+
+@pytest.mark.parametrize("se_mode", SE_MODES)
+def test_band_parts_canonicalizes_the_statistic_name(se_mode):
+    sample = _model_sample("A", 60, 3)
+    args = ("gkf", 0.05, 100, StreamKey(2, 0, METHOD_DRAW))
+    mixed = scb_module.band_curves(sample, " Kurtosis", *args, se_mode=se_mode)
+    lower = scb_module.band_curves(sample, "kurtosis", *args, se_mode=se_mode)
+    assert mixed.q.q == lower.q.q
+    for name in ("center", "lower", "upper"):
+        assert np.array_equal(getattr(mixed, name).values, getattr(lower, name).values)
 
 
 def test_band_parts_rejects_an_exact_pair_before_any_work(monkeypatch):

@@ -421,9 +421,17 @@ def _curves(draw):
 
 
 def _drs(name, values):
+    # the one sweep with the bias, which must give the plain set's bits and
+    # bias_estimate's, so every property below covers all three routes
     sample = FunctionalSample(Grid(np.linspace(0.0, 1.0, values.shape[1])), values)
     t = get_transformation(name, values.shape[0])
-    return delta_residuals(t, sample), bias_estimate(t, sample)
+    swept, plain = delta_residuals(t, sample, bias=True), delta_residuals(t, sample)
+    assert plain.bias is None
+    assert np.array_equal(swept.residuals, plain.residuals)
+    assert np.array_equal(swept.estimate.values, plain.estimate.values)
+    assert np.array_equal(swept.se.values, plain.se.values)
+    assert np.array_equal(swept.bias.values, bias_estimate(t, sample).values)
+    return swept, swept.bias
 
 
 def _close(got, want, tol):
