@@ -45,6 +45,21 @@ QUANTILE_METHODS = BOOTSTRAP_METHODS + GKF_METHODS
 # only the last block of Rademacher signs can end inside a 64-bit word.
 _BOOTSTRAP_CHUNK = 512
 
+# Plain Gaussian draws keep the eigenvalues of the residual Gram matrix above
+# this fraction of the largest.  Every grid point has variance 1 and the
+# largest eigenvalue is at most T, so the dropped directions move the sd at a
+# grid point by at most 1e-12 T / 2.  Models B and C have a gap of 1e12 at
+# their rank; Model A's spectrum falls about fivefold per eigenvalue there
+# (its cohens_d cell keeps 31 of 100, the last at 2.4e-12, the next 4.8e-13).
+# Only an eigenvalue within rounding of the floor makes the number kept, and
+# so the stream, depend on rounding.
+_EIGEN_FLOOR = 1e-12
+# Eigenvector entries this close in magnitude to the largest are tied for
+# its sign.  Symmetric residuals give exact ties: Model C's columns at s = 0
+# and s = 1 are negatives of each other, so their magnitudes differ only by
+# rounding, and the sign of such an eigenvector must not follow it.
+_SIGN_TIE_RTOL = 1e-8
+
 # GKF root: stop once a step moves q by at most xtol + rtol |q|.
 _ROOT_XTOL = 1e-14
 _ROOT_RTOL = 8.9e-16
@@ -60,6 +75,9 @@ class MultiplierConfig:
     sd curve instead of the pooled residual sd.  The weights of key's
     stream are drawn in blocks of 512 replicates, so the first replicates
     do not depend on b; see bootstrap_quantile for the draws per block.
+    Plain Gaussian weights (mult) are drawn as k normals per replicate
+    against an eigen factor of the residual Gram matrix, at every N; the
+    other methods draw one weight per curve.
     """
 
     kind: str = "gaussian"
@@ -133,16 +151,25 @@ def _plain_factor(residuals: np.ndarray, pooled_sd: np.ndarray, kind: str) -> np
     """Matrix F with max |w @ F| the plain statistic of a weight vector w.
 
     F is residual_n(s) / (sqrt(N) pooled_sd(s)), one row per weight.  For
-    Gaussian weights with N > T it is replaced by the T x T R-factor of its
-    QR decomposition: F = Q Rq with Q^T Q = I, so g @ F and z @ Rq with
-    z ~ N(0, I_T) share the law N(0, Rq^T Rq) = N(0, F^T F), and each
-    replicate needs T normal draws instead of N.
+    Gaussian weights it is replaced, at every N, by the k x T eigen factor
+    sqrt(L_k) V_k^T of F^T F = V L V^T, keeping the eigenvalues above
+    _EIGEN_FLOOR * L_max, largest first: z @ that factor with z ~ N(0, I_k)
+    has the law N(0, F^T F) of g @ F, up to the dropped directions, from k
+    draws instead of N.  Each kept eigenvector is signed so that its first
+    entry (in grid order) within _SIGN_TIE_RTOL of its largest magnitude is
+    positive.  F^T F does not depend on the order of the curves, so neither
+    do the draws, up to rounding.
     """
-    n, t = residuals.shape
-    factor = residuals / (math.sqrt(n) * pooled_sd)
-    if kind == "gaussian" and n > t:
-        factor = np.linalg.qr(factor, mode="r")
-    return factor
+    factor = residuals / (math.sqrt(len(residuals)) * pooled_sd)
+    if kind != "gaussian":
+        return factor
+    eigval, eigvec = np.linalg.eigh(factor.T @ factor)
+    keep = eigval > _EIGEN_FLOOR * eigval[-1]
+    eigval, eigvec = eigval[keep][::-1], eigvec[:, keep][:, ::-1]
+    magnitude = np.abs(eigvec)
+    lead = np.argmax(magnitude >= (1.0 - _SIGN_TIE_RTOL) * magnitude.max(axis=0), axis=0)
+    signs = np.sign(eigvec[lead, np.arange(len(eigval))])
+    return (np.sqrt(eigval) * signs)[:, None] * eigvec.T
 
 
 def _multiplier_blocks(cfg: MultiplierConfig, dim: int):
@@ -178,9 +205,12 @@ def bootstrap_quantile(drs: DeltaResidualSet, cfg: MultiplierConfig, alpha: floa
     ceil((1-alpha) B) -- deterministic given the StreamKey, conservative at
     finite B.
 
-    Plain Gaussian weights with N > T are drawn as T-dimensional normals
-    against the R-factor of the residual matrix (see _plain_factor): the
-    same conditional law from fewer draws.  Rademacher weights satisfy
+    Plain Gaussian weights are drawn as k-dimensional normals, k the
+    numerical rank of the residual matrix, against the eigen factor of its
+    Gram matrix (see _plain_factor), at every N: the same conditional law
+    from fewer draws, and q does not depend on the order of the curves.
+    diagnostics["draw_dim"] is the length of each weight vector: k for
+    mult, N for the others.  Rademacher weights satisfy
     g_n^2 = 1, so their t statistic uses the column sums of the squared
     residuals instead of a product per block.
     """
@@ -245,6 +275,7 @@ def bootstrap_quantile(drs: DeltaResidualSet, cfg: MultiplierConfig, alpha: floa
             "max_min": float(order[0]),
             "max_max": float(order[-1]),
             "rank": rank,
+            "draw_dim": factor.shape[0],
         },
     )
 

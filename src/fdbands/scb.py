@@ -84,6 +84,25 @@ def construct_scb(estimate: Curve, se: Curve, q: QuantileEstimate, bias: Curve |
     )
 
 
+def _log_cohens_d_k2(n: int) -> float:
+    """log k_n^2 = log(n/2) + 2 (lgamma(x) - lgamma(x + 1/2)), x = (n - 2)/2.
+
+    The two lgamma values grow like x log x while their difference is
+    -log(x)/2 + O(1/x), so the difference is taken from its asymptotic
+    series (Bernoulli numbers) at x + m >= 20, where the next term is below
+    1e-16 of k_n^2 - 1, and carried down to x by Gamma(z + 1) = z Gamma(z).
+    Every term is a log1p or a short series, so k_n^2 - 1 = expm1(log k_n^2)
+    is accurate to rounding at every n.
+    """
+    x = (n - 2) / 2.0
+    m = max(0, math.ceil(20.0 - x))
+    z = x + m
+    y = 1.0 / (z * z)
+    series = (1 / 8 + y * (-1 / 192 + y * (1 / 640 + y * (-17 / 14336 + y * 31 / 18432)))) / z
+    shift = sum(math.log1p(0.5 / (x + j)) for j in range(m))
+    return math.log1p((1 - m) / z) + 2.0 * (series + shift)
+
+
 def gaussian_exact_null(statistic: str, grid: Grid, n: int, bias_correction: bool = False, model=None):
     """(se, bias) curves of se_mode gaussian_exact: the exact sd and mean of
     the pointwise estimator for Gaussian samples.  Skewness/kurtosis share
@@ -116,8 +135,10 @@ def gaussian_exact_null(statistic: str, grid: Grid, n: int, bias_correction: boo
         if n < MIN_N["gaussian_null"]:
             raise SampleTooSmall(f"exact cohens_d se needs n >= {MIN_N['gaussian_null']}, got {n}")
         d = model_mean(kind, grid.points) / amp
-        k = math.sqrt(n / 2.0) * math.exp(math.lgamma((n - 2) / 2.0) - math.lgamma((n - 1) / 2.0))
-        return Curve(grid, np.sqrt((n * d * d + 1.0) / (n - 3) - (d * k) ** 2)), Curve(grid, d * (k - 1.0))
+        log_k2 = _log_cohens_d_k2(n)
+        # (n d^2 + 1) / (n - 3) - d^2 k_n^2, with both O(1/n) parts formed apart
+        var = d * d * (3.0 / (n - 3) - math.expm1(log_k2)) + 1.0 / (n - 3)
+        return Curve(grid, np.sqrt(var)), Curve(grid, d * math.expm1(0.5 * log_k2))
     raise NotAvailable(f"no exact se for statistic {statistic!r}")
 
 

@@ -1,3 +1,6 @@
+import numpy as np
+import pytest
+
 from fdbands import cli
 from fdbands.cli import main
 from fdbands.fdata import read_sample_csv
@@ -154,6 +157,28 @@ def test_exit_code_two_on_undecodable_sample(tmp_path, capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("method", ["mult", "gkf"])
+def test_band_holds_when_the_curve_lines_are_permuted(tmp_path, method):
+    # q and the band depend on the curves, not on their order in the file:
+    # mult's q within the relative bound of its eigen-factor draws (1e-9),
+    # so the edges center -/+ q se within 1e-9 of the band's scale
+    sample = tmp_path / "s.csv"
+    main(["simulate", "--model", "A", "--n", "90", "--t", "40", "--seed", "12", "--out", str(sample)])
+    header, *curves = sample.read_text().splitlines()
+    order = np.random.default_rng(13).permutation(len(curves))
+    permuted = tmp_path / "p.csv"
+    permuted.write_text("\n".join([header, *(curves[i] for i in order)]) + "\n")
+    bands = []
+    for path in (sample, permuted):
+        out = tmp_path / f"band_{path.stem}.csv"
+        args = ["band", "--in", str(path), "--stat", "cohens_d", "--method", method, "--b", "300", "--seed", "4"]
+        assert main([*args, "--out", str(out)]) == 0
+        bands.append(np.loadtxt(out, delimiter=",", skiprows=1, usecols=range(5)))
+    base, got = bands
+    np.testing.assert_allclose(got[:, 4], base[:, 4], rtol=1e-9, atol=0)
+    np.testing.assert_allclose(got[:, :4], base[:, :4], rtol=0, atol=1e-9 * np.abs(base[:, 1:4]).max())
 
 
 def test_result_csv_formats_are_pinned_byte_for_byte(tmp_path, capsys):

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.optimize import brentq
 from scipy.special import erfc
 from scipy.stats import t as student_t
@@ -304,18 +305,39 @@ def test_plain_factor_keeps_the_conditional_covariance():
         scaled = residuals / (math.sqrt(n) * sd)
         assert np.array_equal(_plain_factor(residuals, sd, "rademacher"), scaled)
         factor = _plain_factor(residuals, sd, "gaussian")
-        if n <= t:
-            assert np.array_equal(factor, scaled)  # N-dimensional draws, stream unchanged
-            continue
-        assert factor.shape == (t, t)
+        assert factor.shape[1] == t and factor.shape[0] <= min(n, t)
         want = scaled.T @ scaled
         assert np.max(np.abs(factor.T @ factor - want)) <= 1e-12 * np.max(np.abs(want))
-    # rank-deficient residuals need no tolerance: repeated columns, N > T
+    # rank-deficient residuals: repeated columns, N > T
     residuals = np.repeat(rng.standard_normal((30, 3)), 4, axis=1)
     sd = np.sqrt(np.mean(residuals**2, axis=0))
     scaled = residuals / (math.sqrt(30) * sd)
     factor = _plain_factor(residuals, sd, "gaussian")
+    assert factor.shape == (3, 12)
     assert np.max(np.abs(factor.T @ factor - scaled.T @ scaled)) <= 1e-12
+
+
+def _eigen_reference_mult(residuals, b, key, alpha=0.05):
+    """mult written out: k normals per replicate against sqrt(lambda_j) v_j
+    for the eigenpairs of the scaled Gram matrix above 1e-12 lambda_max,
+    largest first, each v_j signed by its first entry within 1e-8 of its
+    largest magnitude."""
+    n = len(residuals)
+    scaled = residuals / (math.sqrt(n) * np.sqrt(np.mean(residuals**2, axis=0)))
+    lam, vec = np.linalg.eigh(scaled.T @ scaled)
+    rows = []
+    for j in np.argsort(-lam):
+        if lam[j] > 1e-12 * lam.max():
+            v = vec[:, j]
+            lead = next(i for i in range(len(v)) if abs(v[i]) >= (1.0 - 1e-8) * np.max(np.abs(v)))
+            rows.append(math.sqrt(lam[j]) * v * np.sign(v[lead]))
+    factor = np.array(rows)
+    rng = key.generator()
+    maxima = []
+    for start in range(0, b, 512):
+        z = rng.standard_normal((min(512, b - start), len(factor)))
+        maxima.extend(np.abs(z @ factor).max(axis=1))
+    return float(np.sort(maxima)[math.ceil((1.0 - alpha) * b) - 1])
 
 
 @pytest.mark.parametrize("n,t,b", [(33, 50, 777), (40, 6, 1000), (200, 100, 600)])
@@ -324,12 +346,12 @@ def test_bootstrap_matches_the_written_out_reference(n, t, b):
     drs = delta_residuals(get_transformation("cohens_d"), sample)
     key = StreamKey(21, 0, 2)
     methods = {"rmult": ("rademacher", "plain"), "tmult": ("gaussian", "t"), "rtmult": ("rademacher", "t")}
-    if n <= t:
-        methods["mult"] = ("gaussian", "plain")
     for method, (kind, studentize) in methods.items():
         got = estimate_quantile(drs, method, 0.05, b=b, key=key).q
         want = _reference_bootstrap(drs.residuals, kind, studentize, b, key)
         assert got == pytest.approx(want, rel=1e-12), method
+    got = estimate_quantile(drs, "mult", 0.05, b=b, key=key).q
+    assert got == pytest.approx(_eigen_reference_mult(drs.residuals, b, key), rel=1e-12)
 
 
 def test_r_factor_mult_has_the_law_of_n_dimensional_weights():
@@ -339,6 +361,51 @@ def test_r_factor_mult_has_the_law_of_n_dimensional_weights():
         got = estimate_quantile(drs, "mult", alpha, b=20000, key=StreamKey(22, 0, 2)).q
         want = _reference_bootstrap(drs.residuals, "gaussian", "plain", 20000, StreamKey(22, 0, 3), alpha)
         assert got == pytest.approx(want, rel=0.01)
+
+
+# mult q depends on the residuals only through their Gram matrix, so it holds
+# to this relative bound under a reordering or a rounding-size change of them
+_MULT_INVARIANCE_RTOL = 1e-9
+
+_invariance_cells = st.sampled_from(
+    [(model, stat, n) for model in "ABC" for stat in ("cohens_d", "skewness") for n in (24, 90)]
+)
+
+
+def _mult_q(drs, b=300):
+    return estimate_quantile(drs, "mult", 0.05, b=b, key=StreamKey(31, 0, METHOD_DRAW)).q
+
+
+@given(cell=_invariance_cells, seed=st.integers(0, 2**16), order_seed=st.integers(0, 2**16))
+def test_mult_q_holds_under_a_permutation_of_the_curves(cell, seed, order_seed):
+    # N = 24 and 90 lie on both sides of T = 60
+    model, statistic, n = cell
+    sample = sample_model(ModelSpec(model), n, Grid.equispaced(60), StreamKey(seed))
+    permuted = FunctionalSample(sample.grid, sample.values[np.random.default_rng(order_seed).permutation(n)])
+    t = get_transformation(statistic)
+    base = _mult_q(delta_residuals(t, sample))
+    assert _mult_q(delta_residuals(t, permuted)) == pytest.approx(base, rel=_MULT_INVARIANCE_RTOL)
+
+
+@given(cell=_invariance_cells, seed=st.integers(0, 2**16), noise_seed=st.integers(0, 2**16))
+def test_mult_q_holds_under_a_rounding_size_change_of_the_residuals(cell, seed, noise_seed):
+    model, statistic, n = cell
+    sample = sample_model(ModelSpec(model), n, Grid.equispaced(60), StreamKey(seed))
+    drs = delta_residuals(get_transformation(statistic), sample)
+    noise = np.random.default_rng(noise_seed).uniform(-1e-13, 1e-13, drs.residuals.shape)
+    perturbed = replace(drs, residuals=drs.residuals * (1.0 + noise))
+    assert _mult_q(perturbed) == pytest.approx(_mult_q(drs), rel=_MULT_INVARIANCE_RTOL)
+
+
+def test_mult_reports_the_dimension_it_draws():
+    grid = Grid.equispaced(50)
+    for model, full_rank in (("B", True), ("A", False)):
+        drs = delta_residuals(get_transformation("cohens_d"), sample_model(ModelSpec(model), 200, grid, StreamKey(3)))
+        got = estimate_quantile(drs, "mult", 0.05, b=200, key=StreamKey(3, 0, METHOD_DRAW)).diagnostics
+        assert (got["draw_dim"] == 50) if full_rank else (got["draw_dim"] < 50), model
+        assert got["rank"] == 190  # the order statistic's rank, ceil(0.95 B)
+        rmult = estimate_quantile(drs, "rmult", 0.05, b=200, key=StreamKey(3, 0, METHOD_DRAW))
+        assert rmult.diagnostics["draw_dim"] == 200  # one weight per curve
 
 
 def test_t_bootstrap_zero_sd_rules():

@@ -26,6 +26,7 @@ from fdbands import (
 from fdbands import scb as scb_module
 from fdbands.rng import METHOD_DRAW
 from fdbands.scb import SE_MODES
+from fdbands.simmodels import model_amplitude, model_mean
 from fdbands.transforms import GAUSSIAN_NULL_STATISTICS
 
 GRID = Grid.equispaced(5)
@@ -190,6 +191,22 @@ def test_gaussian_exact_null_of_a_bare_sample_is_that_of_models_a_and_b(statisti
     for model in ("A", ModelSpec("B")):
         pair = scb_module.gaussian_exact_null(statistic, GRID, 40, model=model)
         assert all(np.array_equal(p.values, b.values) for p, b in zip(pair, bare))
+
+
+@pytest.mark.parametrize("n", [4, 41, 10**3, 10**4, 10**5, 10**6])
+def test_gaussian_exact_cohens_d_pair_against_mpmath(n):
+    # k_n^2 - 1 and the sd's O(1/n) difference keep full precision at large
+    # n; n = 4 and 41 take the log Gamma series through the recurrence
+    mpmath = pytest.importorskip("mpmath")
+    grid = Grid([0.3, 0.7])
+    se, bias = (c.values for c in scb_module.gaussian_exact_null("cohens_d", grid, n, model="A"))
+    d = model_mean("A", grid.points) / model_amplitude("A", grid.points)
+    with mpmath.workdps(50):
+        k = mpmath.sqrt(mpmath.mpf(n) / 2) * mpmath.gamma(mpmath.mpf(n - 2) / 2) / mpmath.gamma(mpmath.mpf(n - 1) / 2)
+        for i, di in enumerate(map(mpmath.mpf, d)):
+            sd = mpmath.sqrt((n * di * di + 1) / (n - 3) - di * di * k * k)
+            assert abs(se[i] - sd) <= 1e-10 * sd
+            assert abs(bias[i] - di * (k - 1)) <= 1e-10 * abs(di * (k - 1))
 
 
 def test_gauss_test_minimum_sample_sizes():
