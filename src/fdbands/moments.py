@@ -6,8 +6,8 @@ Conventions that matter downstream:
   default to the unbiased N-1 divisor; the residual calculus here needs the
   plain 1/N sums, so do not "fix" this.
 * Integer powers are formed by repeated multiplication (no pow/exp/log
-  round trip).  Orders above 8 are rejected; 8 = 4+4 is the largest power
-  of the centered deviations that the kurtosis bias estimate ever forms.
+  round trip).  Orders above 8 are rejected; 8 = 2K for kurtosis (K = 4)
+  is the largest raw moment the reference checks of the plug-in bias use.
 """
 
 from __future__ import annotations

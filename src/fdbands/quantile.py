@@ -3,8 +3,8 @@
 Two routes to the (1-alpha) quantile of the maximum absolute value of the
 variance-normalized limiting process of a statistic curve:
 
-* multiplier bootstrap of the residual curves, with Gaussian or Rademacher
-  weights and either plain (pooled-sd) or per-replicate t normalization;
+* multiplier bootstrap of the residual curves over the set's own se, with
+  Gaussian or Rademacher weights and plain or per-replicate t normalization;
 * the expected-Euler-characteristic expansion for smooth fields on an
   interval (Adler & Taylor style), with the first Lipschitz-Killing
   curvature estimated from variance-normalized residual increments.
@@ -72,9 +72,9 @@ class MultiplierConfig:
 
     kind selects the weight distribution (both standardized: mean 0,
     variance 1); studentize "t" divides each bootstrap curve by its own
-    sd curve instead of the pooled residual sd.  The weights of key's
-    stream are drawn in blocks of 512 replicates, so the first replicates
-    do not depend on b; see bootstrap_quantile for the draws per block.
+    sd curve instead of the residual set's own se (drs.se).  The weights of
+    key's stream are drawn in blocks of 512 replicates, so the first
+    replicates do not depend on b; see bootstrap_quantile for the draws.
     Plain Gaussian weights (mult) are drawn as k normals per replicate
     against an eigen factor of the residual Gram matrix, at every N; the
     other methods draw one weight per curve.
@@ -147,23 +147,22 @@ def check_gkf_alpha(alpha: float) -> None:
 # multiplier bootstrap
 # --------------------------------------------------------------------------
 
-def _plain_factor(residuals: np.ndarray, pooled_sd: np.ndarray, kind: str) -> np.ndarray:
+def _plain_factor(standardized: np.ndarray, kind: str) -> np.ndarray:
     """Matrix F with max |w @ F| the plain statistic of a weight vector w.
 
-    F is residual_n(s) / (sqrt(N) pooled_sd(s)), one row per weight.  For
-    Gaussian weights it is replaced, at every N, by the k x T eigen factor
-    sqrt(L_k) V_k^T of F^T F = V L V^T, keeping the eigenvalues above
-    _EIGEN_FLOOR * L_max, largest first: z @ that factor with z ~ N(0, I_k)
-    has the law N(0, F^T F) of g @ F, up to the dropped directions, from k
-    draws instead of N.  Each kept eigenvector is signed so that its first
-    entry (in grid order) within _SIGN_TIE_RTOL of its largest magnitude is
-    positive.  F^T F does not depend on the order of the curves, so neither
-    do the draws, up to rounding.
+    standardized is S = residual_n(s) / (N se(s)), one row per weight, and
+    Rademacher weights use it as F.  For Gaussian weights F is, at every N,
+    the k x T eigen factor sqrt(L_k) V_k^T of S^T S = V L V^T, keeping the
+    eigenvalues above _EIGEN_FLOOR * L_max, largest first: z @ F with
+    z ~ N(0, I_k) has the law N(0, S^T S) of g @ S, up to the dropped
+    directions, from k draws instead of N.  Each kept eigenvector is signed
+    so that its first entry (in grid order) within _SIGN_TIE_RTOL of its
+    largest magnitude is positive.  S^T S does not depend on the order of
+    the curves, so neither do the draws, up to rounding.
     """
-    factor = residuals / (math.sqrt(len(residuals)) * pooled_sd)
     if kind != "gaussian":
-        return factor
-    eigval, eigvec = np.linalg.eigh(factor.T @ factor)
+        return standardized
+    eigval, eigvec = np.linalg.eigh(standardized.T @ standardized)
     keep = eigval > _EIGEN_FLOOR * eigval[-1]
     eigval, eigvec = eigval[keep][::-1], eigvec[:, keep][:, ::-1]
     magnitude = np.abs(eigvec)
@@ -198,44 +197,42 @@ def _multiplier_blocks(cfg: MultiplierConfig, dim: int):
 def bootstrap_quantile(drs: DeltaResidualSet, cfg: MultiplierConfig, alpha: float) -> QuantileEstimate:
     """Empirical (1-alpha) quantile of the bootstrap max statistic.
 
-    For each replicate draw weights g_1..g_N, form
-    m_b(s) = N^{-1/2} sum_n g_n residual_n(s), and take the max over s of
-    |m_b| divided by the pooled residual sd (plain) or by the replicate's
-    own weighted sd curve (t).  The quantile is the order statistic of rank
-    ceil((1-alpha) B) -- deterministic given the StreamKey, conservative at
-    finite B.
+    Every method works on S = residuals / (N se), se the set's own drs.se
+    (1 in place of N se where se = 0), so se is the only scale.  For each
+    replicate draw weights g_1..g_N, form m_b(s) = sum_n g_n S_n(s), and
+    take the max over s of |m_b| (plain) or of |m_b| over the replicate's
+    own weighted sd curve (t).  Plain methods need se > 0 at every grid
+    point (ZeroSe); an se that is 0 everywhere is DegenerateResiduals.  The
+    quantile is the order statistic of rank ceil((1-alpha) B) --
+    deterministic given the StreamKey, conservative at finite B.
 
     Plain Gaussian weights are drawn as k-dimensional normals, k the
-    numerical rank of the residual matrix, against the eigen factor of its
-    Gram matrix (see _plain_factor), at every N: the same conditional law
-    from fewer draws, and q does not depend on the order of the curves.
+    numerical rank of S, against the eigen factor of its Gram matrix (see
+    _plain_factor), at every N: the same conditional law from fewer draws,
+    and q does not depend on the order of the curves.
     diagnostics["draw_dim"] is the length of each weight vector: k for
-    mult, N for the others.  Rademacher weights satisfy
-    g_n^2 = 1, so their t statistic uses the column sums of the squared
-    residuals instead of a product per block.
+    mult, N for the others.  Rademacher weights satisfy g_n^2 = 1, so their
+    t statistic uses the column sums of S^2 instead of a product per block.
     """
     check_alpha(alpha)
-    residuals = drs.residuals
-    n, t = residuals.shape
-    peak = np.max(np.abs(residuals))
-    if peak == 0.0:
+    n, se = drs.n, drs.se.values
+    if np.all(se == 0.0):
         raise DegenerateResiduals("all residual curves are identically zero")
-    # Every statistic here is scale-free.  Scaling by a power of two so that
-    # max |residual| lies in [0.5, 1) is exact and keeps the squares finite
-    # and nonzero at extreme scales.
-    residuals = np.ldexp(residuals, -math.frexp(peak)[1])
-    col_sq = np.sum(residuals * residuals, axis=0)
-    pooled_sd = np.sqrt(col_sq / n)
     plain = cfg.studentize == "plain"
-    if plain and np.any(pooled_sd <= 0.0):
-        raise ZeroSe("plain bootstrap needs positive residual sd at every grid point")
+    if plain and np.any(se <= 0.0):
+        raise ZeroSe("plain bootstrap needs positive se at every grid point")
+    # Every statistic here is scale-free, so each grid point is worked on in
+    # units of N se; a column whose se is 0 has zero residuals and stays 0.
+    standardized = drs.residuals / np.where(se == 0.0, 1.0, n * se)
 
     if plain:
-        factor = _plain_factor(residuals, pooled_sd, cfg.kind)
+        factor = _plain_factor(standardized, cfg.kind)
     else:
-        factor = residuals
+        factor = standardized
         if cfg.kind == "gaussian":
-            res_sq = residuals * residuals  # Rademacher g^2 = 1: (g * g) @ res_sq is col_sq
+            res_sq = standardized * standardized
+        else:  # Rademacher g^2 = 1: (g * g) @ res_sq is col_sq
+            col_sq = np.sum(standardized * standardized, axis=0)
     maxima = np.empty(cfg.b)
     done = 0
     for g in _multiplier_blocks(cfg, factor.shape[0]):
@@ -244,10 +241,10 @@ def bootstrap_quantile(drs: DeltaResidualSet, cfg: MultiplierConfig, alpha: floa
         if plain:
             maxima[done : done + rows] = np.abs(m, out=m).max(axis=1)
         else:
-            # stat^2 = (n - 1) m^2 / max(sum g^2 r^2 - m^2, 0).  A zero
+            # stat^2 = (n - 1) m^2 / max(sum g^2 S^2 - m^2, 0).  A zero
             # denominator gives inf where m != 0, and nan where m = 0, which
-            # fmax skips (stat 0).  That needs every g_n r_n = 0, which never
-            # happens in the column of the largest residual: no row is all nan.
+            # fmax skips (stat 0).  That needs every g_n S_n = 0, which never
+            # happens in a column whose se is positive: no row is all nan.
             m /= math.sqrt(n)
             m2 = np.multiply(m, m, out=m)
             if cfg.kind == "gaussian":

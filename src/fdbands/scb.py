@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NonFiniteValue, NotAvailable, SampleTooSmall, ShapeMismatch
+from .errors import ConfigError, NonFiniteValue, NotAvailable, SampleTooSmall, ShapeMismatch, ZeroSe
 from .fdata import Curve, FunctionalSample, Grid
 from .quantile import QuantileEstimate, estimate_quantile
 from .rng import METHOD_DRAW, StreamKey
@@ -213,7 +213,7 @@ def gauss_test(
     if se_mode == "estimated":
         # the exact null sd is one number, so only the estimated se standardizes
         if np.any(sd.values <= 0.0):
-            raise ConfigError("estimated se vanished; cannot standardize the test")
+            raise ZeroSe("estimated se vanished; cannot standardize the test")
         centered = centered / sd.values
         sd = Curve(grid, np.ones(len(grid)))  # threshold q * 1.0 is q exactly
     max_stat = float(np.max(np.abs(centered)))

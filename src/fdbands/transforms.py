@@ -111,7 +111,12 @@ class Transformation:
 
 @dataclass(frozen=True, eq=False)
 class DeltaResidualSet:
-    """Transformed residual curves, the derived estimate and se curves, and the bias if asked for."""
+    """Transformed residual curves, the derived estimate and se curves, and the bias if asked for.
+
+    se must be the plug-in se of the residuals, as delta_residuals forms
+    it: the LKC and the bootstrap standardize by it, so a hand-built set
+    with another se changes their q.
+    """
 
     grid: Grid
     residuals: np.ndarray  # N x T

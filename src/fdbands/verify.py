@@ -244,6 +244,13 @@ def oracle_bessel() -> list[OracleReport]:
     return reports
 
 
+def _mc_cov_oracle(name, statistic, grid, want, tol, n, reps, key) -> list[OracleReport]:
+    """Brute-force covariance of sqrt(n) H on Model A vs its closed form want (abs error)."""
+    mc = mc_transformed_cov(ModelSpec("A"), get_transformation(statistic), n, grid, reps, key)
+    abs_err = float(np.max(np.abs(mc - want)))
+    return [_report(name, abs_err, abs_err / float(np.max(np.abs(want))), reps, tol, "abs")]
+
+
 def oracle_cohens_d_cov(
     n: int = 1000,
     reps: int = 20000,
@@ -252,15 +259,10 @@ def oracle_cohens_d_cov(
 ) -> list[OracleReport]:
     """Brute-force covariance of normalized Cohen's d vs its Gaussian closed form."""
     grid = Grid.equispaced(t_points)
-    spec = ModelSpec("A")
-    t = get_transformation("cohens_d")
-    mc = mc_transformed_cov(spec, t, n, grid, reps, key)
     mu = Curve(grid, model_mean("A", grid.points))
     sigma = Curve(grid, model_amplitude("A", grid.points))
     want = gaussian_cohens_d_cov(mu, sigma, model_a_cov(grid))
-    abs_err = float(np.max(np.abs(mc - want)))
-    rel_err = abs_err / float(np.max(np.abs(want)))
-    return [_report("cohens_d cov MC vs closed form", abs_err, rel_err, reps, 0.05, "abs")]
+    return _mc_cov_oracle("cohens_d cov MC vs closed form", "cohens_d", grid, want, 0.05, n, reps, key)
 
 
 def oracle_isserlis(
@@ -271,16 +273,11 @@ def oracle_isserlis(
 ) -> list[OracleReport]:
     """Isserlis c22 block vs brute-force covariance of the variance statistic."""
     grid = Grid.equispaced(t_points)
-    spec = ModelSpec("A")
-    mc = mc_transformed_cov(spec, get_transformation("variance"), n, grid, reps, key)
-    cov = model_a_cov(grid)
     # The variance statistic is translation invariant, so its limit
     # covariance is the centered c22 block, 2 cov^2: the mean-dependent
     # terms of the raw-moment blocks cancel against the gradient.
-    want = isserlis_moment_cov(Curve(grid, np.zeros(len(grid))), cov, 2, 2)
-    abs_err = float(np.max(np.abs(mc - want)))
-    rel_err = abs_err / float(np.max(np.abs(want)))
-    return [_report("variance cov MC vs Isserlis c22", abs_err, rel_err, reps, 0.08, "abs")]
+    want = isserlis_moment_cov(Curve(grid, np.zeros(len(grid))), model_a_cov(grid), 2, 2)
+    return _mc_cov_oracle("variance cov MC vs Isserlis c22", "variance", grid, want, 0.08, n, reps, key)
 
 
 ORACLES = {

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from fdbands import cli
+from fdbands import FunctionalSample, Grid, ModelSpec, StreamKey, cli, sample_model
 from fdbands.cli import main
-from fdbands.fdata import read_sample_csv
+from fdbands.fdata import read_sample_csv, write_sample_csv
 from fdbands.verify import OracleReport, write_oracle_csv
 
 
@@ -64,6 +64,22 @@ def test_gauss_test_subcommand(tmp_path):
     header, row = out.read_text().strip().split("\n")
     assert header == "statistic,method,alpha,max_stat,threshold,reject"
     assert row.split(",")[-1] in ("true", "false")
+
+
+@pytest.mark.parametrize("method", ["tmult", "rtmult"])
+def test_gauss_test_vanished_se_is_a_numeric_error(tmp_path, capsys, method):
+    # column 2 is +-1 in equal shares, so its kurtosis se is exactly 0
+    sample = sample_model(ModelSpec("A"), 40, Grid.equispaced(5), StreamKey(4))
+    values = sample.values.copy()
+    values[:, 2] = np.tile([1.0, -1.0], 20)
+    sample_path = tmp_path / "s.csv"
+    write_sample_csv(FunctionalSample(sample.grid, values), sample_path)
+    code = main([
+        "gauss-test", "--in", str(sample_path), "--stat", "kurtosis", "--method", method,
+        "--se-mode", "estimated", "--b", "200",
+    ])
+    assert code == 2
+    assert "estimated se vanished" in capsys.readouterr().err
 
 
 def test_coverage_subcommand(tmp_path):

@@ -13,6 +13,7 @@ import pytest
 from fdbands import (
     ConfigError,
     Curve,
+    DomainGuardViolation,
     FunctionalSample,
     Grid,
     ModelSpec,
@@ -573,6 +574,40 @@ def test_guard_violations_are_counted_not_fatal():
     row = report.rows[0]
     assert row.guard_violations == 0
     assert row.successes == 100
+
+
+def test_guard_trips_leave_coverage_to_the_successes(tmp_path, monkeypatch):
+    # One worker runs the (cell, replicate) tasks in order in this process,
+    # so call i of residual_parts is task i: trip every fourth replicate of
+    # the first cell and every replicate of the second.
+    monkeypatch.setenv("FDBANDS_WORKERS", "1")
+    out = tmp_path / "cov.csv"
+    cfg = _tiny_config(sample_sizes=(20, 30), methods=("mult", "gkf"), output=str(out))
+    cell = harness._cells(cfg)[0]
+    flags = [harness._replicate(cfg, cell, rep) for rep in range(100)]
+    tripped = set(range(0, 100, 4)) | set(range(100, 200))
+    calls = iter(range(200))
+    residual_parts = harness.residual_parts
+
+    def tripping_parts(*args):
+        if next(calls) in tripped:
+            raise DomainGuardViolation("forced trip")
+        return residual_parts(*args)
+
+    monkeypatch.setattr(harness, "residual_parts", tripping_parts)
+    report = run_coverage(cfg)
+    kept = [f for rep, f in enumerate(flags) if rep not in tripped]
+    for i, row in enumerate(report.rows[:2]):
+        assert (row.n, row.successes, row.guard_violations) == (20, 75, 25)
+        coverage = sum(f[i] for f in kept) / 75
+        assert 0.0 < coverage < 1.0
+        assert row.coverage == coverage
+        assert row.mc_se == math.sqrt(coverage * (1.0 - coverage) / 75)
+    for row in report.rows[2:]:
+        assert (row.n, row.successes, row.guard_violations) == (30, 0, 100)
+        assert math.isnan(row.coverage) and math.isnan(row.mc_se)
+    lines = out.read_text().splitlines()
+    assert [line.endswith(",0,100,nan,nan") for line in lines[1:]] == [False, False, True, True]
 
 
 def test_every_quantile_method_runs_in_coverage():

@@ -255,12 +255,27 @@ def test_bootstrap_is_scale_free_at_extreme_scales(method):
             assert got.q == base.q
 
 
-def _reference_bootstrap(residuals, kind, studentize, b, key, alpha=0.05):
-    """The multiplier bootstrap written out: N weights per replicate and an
-    explicit (g * g) @ res_sq, in blocks of 512 rows of one stream."""
+@pytest.mark.parametrize("statistic,limit", [("mean", 600), ("variance", 300)])
+def test_every_method_is_scale_free_per_grid_point(statistic, limit):
+    # each column scaled by its own power of two, 2^k for k up to +-limit:
+    # every residual and se column scales exactly, so q holds bit for bit
+    sample = sample_model(ModelSpec("A"), 80, Grid.equispaced(12), StreamKey(5))
+    k = np.random.default_rng(5).permutation(np.linspace(-limit, limit, 12).round().astype(int))
+    scaled = FunctionalSample(sample.grid, np.ldexp(sample.values, k))
+    t = get_transformation(statistic)
+    base, drs = delta_residuals(t, sample), delta_residuals(t, scaled)
+    for method in ("mult", "rmult", "tmult", "rtmult", "gkf", "tgkf"):
+        want = estimate_quantile(base, method, 0.05, b=300, key=StreamKey(5, 0, METHOD_DRAW)).q
+        assert estimate_quantile(drs, method, 0.05, b=300, key=StreamKey(5, 0, METHOD_DRAW)).q == want, method
+
+
+def _reference_bootstrap(drs, kind, studentize, b, key, alpha=0.05):
+    """The multiplier bootstrap written out: N weights per replicate, the
+    plain statistic over the set's se and an explicit (g * g) @ res_sq, in
+    blocks of 512 rows of one stream."""
+    residuals = drs.residuals
     n, t = residuals.shape
     rng = key.generator()
-    pooled_sd = np.sqrt(np.mean(residuals**2, axis=0))
     maxima = []
     for start in range(0, b, 512):
         rows = min(512, b - start)
@@ -270,7 +285,7 @@ def _reference_bootstrap(residuals, kind, studentize, b, key, alpha=0.05):
             g = 2.0 * rng.integers(0, 2, size=(rows, n)).astype(float) - 1.0
         m = (g @ residuals) / math.sqrt(n)
         if studentize == "plain":
-            stats = np.abs(m) / pooled_sd
+            stats = np.abs(m) / (math.sqrt(n) * drs.se.values)
         else:
             s = np.sqrt(np.maximum((g * g) @ residuals**2 - m * m, 0.0) / (n - 1))
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -301,29 +316,26 @@ def test_plain_factor_keeps_the_conditional_covariance():
     for n, t in ((60, 8), (8, 60), (60, 60)):
         residuals = rng.standard_normal((n, t))
         residuals -= residuals.mean(axis=0)
-        sd = np.sqrt(np.mean(residuals**2, axis=0))
-        scaled = residuals / (math.sqrt(n) * sd)
-        assert np.array_equal(_plain_factor(residuals, sd, "rademacher"), scaled)
-        factor = _plain_factor(residuals, sd, "gaussian")
+        scaled = residuals / (n * _drs_from_residuals(residuals).se.values)
+        assert np.array_equal(_plain_factor(scaled, "rademacher"), scaled)
+        factor = _plain_factor(scaled, "gaussian")
         assert factor.shape[1] == t and factor.shape[0] <= min(n, t)
         want = scaled.T @ scaled
         assert np.max(np.abs(factor.T @ factor - want)) <= 1e-12 * np.max(np.abs(want))
     # rank-deficient residuals: repeated columns, N > T
     residuals = np.repeat(rng.standard_normal((30, 3)), 4, axis=1)
-    sd = np.sqrt(np.mean(residuals**2, axis=0))
-    scaled = residuals / (math.sqrt(30) * sd)
-    factor = _plain_factor(residuals, sd, "gaussian")
+    scaled = residuals / (30 * _drs_from_residuals(residuals).se.values)
+    factor = _plain_factor(scaled, "gaussian")
     assert factor.shape == (3, 12)
     assert np.max(np.abs(factor.T @ factor - scaled.T @ scaled)) <= 1e-12
 
 
-def _eigen_reference_mult(residuals, b, key, alpha=0.05):
+def _eigen_reference_mult(drs, b, key, alpha=0.05):
     """mult written out: k normals per replicate against sqrt(lambda_j) v_j
-    for the eigenpairs of the scaled Gram matrix above 1e-12 lambda_max,
-    largest first, each v_j signed by its first entry within 1e-8 of its
-    largest magnitude."""
-    n = len(residuals)
-    scaled = residuals / (math.sqrt(n) * np.sqrt(np.mean(residuals**2, axis=0)))
+    for the eigenpairs of the Gram matrix of the residuals over N se, above
+    1e-12 lambda_max, largest first, each v_j signed by its first entry
+    within 1e-8 of its largest magnitude."""
+    scaled = drs.residuals / (drs.n * drs.se.values)
     lam, vec = np.linalg.eigh(scaled.T @ scaled)
     rows = []
     for j in np.argsort(-lam):
@@ -348,10 +360,10 @@ def test_bootstrap_matches_the_written_out_reference(n, t, b):
     methods = {"rmult": ("rademacher", "plain"), "tmult": ("gaussian", "t"), "rtmult": ("rademacher", "t")}
     for method, (kind, studentize) in methods.items():
         got = estimate_quantile(drs, method, 0.05, b=b, key=key).q
-        want = _reference_bootstrap(drs.residuals, kind, studentize, b, key)
+        want = _reference_bootstrap(drs, kind, studentize, b, key)
         assert got == pytest.approx(want, rel=1e-12), method
     got = estimate_quantile(drs, "mult", 0.05, b=b, key=key).q
-    assert got == pytest.approx(_eigen_reference_mult(drs.residuals, b, key), rel=1e-12)
+    assert got == pytest.approx(_eigen_reference_mult(drs, b, key), rel=1e-12)
 
 
 def test_r_factor_mult_has_the_law_of_n_dimensional_weights():
@@ -359,7 +371,7 @@ def test_r_factor_mult_has_the_law_of_n_dimensional_weights():
     drs = delta_residuals(get_transformation("cohens_d"), sample)
     for alpha in (0.05, 0.2):
         got = estimate_quantile(drs, "mult", alpha, b=20000, key=StreamKey(22, 0, 2)).q
-        want = _reference_bootstrap(drs.residuals, "gaussian", "plain", 20000, StreamKey(22, 0, 3), alpha)
+        want = _reference_bootstrap(drs, "gaussian", "plain", 20000, StreamKey(22, 0, 3), alpha)
         assert got == pytest.approx(want, rel=0.01)
 
 
@@ -421,7 +433,7 @@ def test_t_bootstrap_zero_sd_rules():
     for alpha in (0.05, 0.9):
         for kind in ("gaussian", "rademacher"):
             cfg = MultiplierConfig(kind=kind, studentize="t", key=StreamKey(3))
-            want = _reference_bootstrap(drs.residuals, kind, "t", 1000, StreamKey(3), alpha)
+            want = _reference_bootstrap(drs, kind, "t", 1000, StreamKey(3), alpha)
             assert bootstrap_quantile(drs, cfg, alpha).q == pytest.approx(want, rel=1e-12)
 
 

@@ -13,6 +13,7 @@ from fdbands import (
     SampleTooSmall,
     ShapeMismatch,
     StreamKey,
+    ZeroSe,
     band_parts,
     bias_estimate,
     construct_scb,
@@ -126,6 +127,23 @@ def test_gauss_test_raises_when_band_and_decision_disagree(monkeypatch, se_mode)
     monkeypatch.setattr(scb_module, "covers", lambda band, truth: not covers(band, truth))
     with pytest.raises(NonFiniteValue, match="disagree"):
         gauss_test(sample, "skewness_z", 0.05, "mult", se_mode, b=300, key=StreamKey(2))
+
+
+def _vanishing_se_sample():
+    """Model A curves whose column 2 is +-1 in equal shares: its kurtosis
+    residuals, and so its estimated se, are exactly 0."""
+    sample = _model_sample("A", 40, 4, t=5)
+    values = sample.values.copy()
+    values[:, 2] = np.tile([1.0, -1.0], 20)
+    return FunctionalSample(sample.grid, values)
+
+
+@pytest.mark.parametrize("method", ["tmult", "rtmult", "mult", "gkf"])
+def test_gauss_test_raises_zero_se_where_the_estimated_se_vanishes(method):
+    # the t methods pass the bootstrap; the test's own standardization must
+    # fail the way the plain bootstrap and the LKC do
+    with pytest.raises(ZeroSe):
+        gauss_test(_vanishing_se_sample(), "kurtosis", 0.05, method, "estimated", b=200, key=StreamKey(2))
 
 
 def test_gauss_test_nan_quantile_is_not_a_silent_accept(monkeypatch):

@@ -18,6 +18,7 @@ from fdbands.verify import (
     mc_transformed_cov,
     oracle_bessel,
     oracle_derivatives,
+    oracle_isserlis,
     run_oracles,
     write_oracle_csv,
 )
@@ -139,6 +140,20 @@ def test_oracle_cohens_d_cov_passes():
 
     reports = oracle_cohens_d_cov(reps=20000)
     assert all(r.passed for r in reports)
+
+
+def test_oracle_isserlis_reports_the_mc_error_against_the_c22_block():
+    key = StreamKey(3003)
+    grid = Grid.equispaced(4)
+    mc = mc_transformed_cov(ModelSpec("A"), get_transformation("variance"), 50, grid, 300, key)
+    want = isserlis_moment_cov(Curve(grid, np.zeros(4)), model_a_cov(grid), 2, 2)
+    err = np.max(np.abs(mc - want))
+    (report,) = oracle_isserlis(n=50, reps=300, key=key, t_points=4)
+    assert (report.name, report.samples, report.tolerance, report.criterion) == (
+        "variance cov MC vs Isserlis c22", 300, 0.08, "abs"
+    )
+    assert (report.max_abs_err, report.max_rel_err) == (err, err / np.max(np.abs(want)))
+    assert report.passed == (err <= 0.08)
 
 
 def test_oracle_derivatives_passes():
