@@ -40,18 +40,18 @@ from .rng import METHOD_DRAW, NOISE_DRAW, SAMPLE_DRAW, StreamKey
 from .scb import SE_MODES, construct_scb, covers, gaussian_exact_null, residual_parts
 from .scb import band_curves  # noqa: F401  (importable from here too)
 from .simmodels import (
+    GAUSSIAN_MODELS,
     MODEL_A_BANDWIDTH,
     ModelSpec,
     add_observation_noise,
     check_noise_sigma,
-    model_amplitude,
     model_b_chol,
-    model_c_noise_variance,
-    model_mean,
+    population_moments,
     prime_model_b_chol,
     sample_model,
 )
 from .transforms import (
+    GAUSSIAN_NULL_STATISTICS,
     TRANSFORMATION_NAMES,
     Transformation,
     get_transformation,
@@ -94,8 +94,8 @@ class ExperimentConfig:
             raise ConfigError("need at least one quantile method")
         if self.se_mode not in SE_MODES:
             raise ConfigError(f"unknown se_mode {self.se_mode!r}")
-        if self.se_mode == "gaussian_exact" and self.model == "C":
-            raise ConfigError("gaussian_exact se is undefined for the non-Gaussian model C")
+        if self.se_mode == "gaussian_exact" and self.model not in GAUSSIAN_MODELS:
+            raise ConfigError(f"gaussian_exact se needs a Gaussian model ({' or '.join(GAUSSIAN_MODELS)}), got {self.model}")
         if self.replicates < 100:
             raise ConfigError(f"need at least 100 replicates, got {self.replicates}")
         check_alpha(self.alpha)
@@ -176,49 +176,28 @@ _CONFIG_KEYS = frozenset(f.name for f in fields(ExperimentConfig))
 # analytic truth curves
 # --------------------------------------------------------------------------
 
-def truth_curve(model, statistic: str, grid: Grid) -> Curve:
-    """Population value of the statistic curve under the model.
-
-    Model C skewness/kurtosis come from the closed central moments of the
-    chi-square(1) and exponential mixture components; the normalized
-    statistics have no closed population value under model C.
-    """
+def truth_curve(model, statistic: str, grid: Grid, noise_sigma: float = 0.0) -> Curve:
+    """Population value of the statistic curve: its own formula at the
+    population_moments of the model's curves plus N(0, noise_sigma^2) noise.
+    The skewness/kurtosis family is exactly 0 on a Gaussian model (the z forms
+    by their null target); the z forms have none on a non-Gaussian model."""
     kind = model.kind if isinstance(model, ModelSpec) else str(model)
-    s = grid.points
-    statistic = statistic.lower()
-    mean = model_mean(kind, s)
-    amp = model_amplitude(kind, s)
-    if statistic == "mean":
-        return Curve(grid, mean)
-    if statistic == "variance":
-        return Curve(grid, amp * amp)
-    if statistic == "cohens_d":
-        return Curve(grid, mean / amp)
-    gaussian_model = kind in ("A", "B")
-    if statistic in ("skewness", "kurtosis", "skewness_z", "kurtosis_z"):
-        if gaussian_model:
-            return Curve(grid, np.zeros(len(grid)))
-        if statistic in ("skewness_z", "kurtosis_z"):
-            raise NotAvailable(f"no closed-form {statistic} truth for model C")
-        u = math.sqrt(2.0) / 6.0 * np.sin(np.pi * s)
-        w = 2.0 / 3.0 * (s - 0.5)
-        var = model_c_noise_variance(s)  # = 2 u^2 + w^2
-        if statistic == "skewness":
-            # third central moments: chi2(1) -> 8, Exp(1) -> 2
-            return Curve(grid, (8.0 * u**3 + 2.0 * w**3) / var**1.5)
-        # fourth central moments: chi2(1) -> 60, Exp(1) -> 9
-        return Curve(grid, (60.0 * u**4 + 12.0 * u**2 * w**2 + 9.0 * w**4) / var**2 - 3.0)
-    raise NotAvailable(f"no truth curve for statistic {statistic!r}")
+    t = get_transformation(statistic)
+    if kind in GAUSSIAN_MODELS and t.name in GAUSSIAN_NULL_STATISTICS:
+        return Curve(grid, np.zeros(len(grid)))
+    if t.n is not None:
+        raise NotAvailable(f"no closed-form {t.name} truth for model {kind}")
+    return Curve(grid, t.central(population_moments(kind, grid.points, len(t.orders), noise_sigma))[0])
 
 
 def gaussian_exact_se(model, statistic: str, grid: Grid, n: int) -> Curve:
     """Exact null sd of the statistic curve for the Gaussian models."""
-    return gaussian_exact_null(statistic.lower(), grid, n, model=model)[0]
+    return gaussian_exact_null(statistic, grid, n, model=model)[0]
 
 
 def gaussian_exact_bias(model, statistic: str, grid: Grid, n: int) -> Curve:
     """Exact null mean shift of the estimator (zero except kurtosis/variance)."""
-    return gaussian_exact_null(statistic.lower(), grid, n, model=model)[1]
+    return gaussian_exact_null(statistic, grid, n, model=model)[1]
 
 
 # --------------------------------------------------------------------------
@@ -272,13 +251,13 @@ def _cells(cfg: ExperimentConfig) -> tuple[_Cell, ...]:
     """One cell per sample size, in config order."""
     grid = Grid.equispaced(cfg.grid_size)
     spec = ModelSpec(cfg.model, bandwidth=cfg.bandwidth, jitter=cfg.jitter)
-    stat = cfg.statistic
-    truth = truth_curve(spec, stat, grid)
+    stat, sigma = cfg.statistic, cfg.noise_sigma
+    truth = truth_curve(spec, stat, grid, sigma)
     exact = cfg.se_mode == "gaussian_exact"
     return tuple(
         _Cell(
             n, grid, spec, get_transformation(stat, n), truth,
-            gaussian_exact_null(stat, grid, n, cfg.bias_correction, model=spec) if exact else None,
+            gaussian_exact_null(stat, grid, n, cfg.bias_correction, spec, sigma) if exact else None,
         )
         for n in cfg.sample_sizes
     )

@@ -25,7 +25,7 @@ from .errors import ConfigError, NonFiniteValue, NotAvailable, SampleTooSmall, S
 from .fdata import Curve, FunctionalSample, Grid
 from .quantile import QuantileEstimate, estimate_quantile
 from .rng import METHOD_DRAW, StreamKey
-from .simmodels import ModelSpec, model_amplitude, model_mean
+from .simmodels import GAUSSIAN_MODELS, ModelSpec, population_moments
 from .transforms import (
     GAUSSIAN_NULL_STATISTICS,
     MIN_N,
@@ -103,38 +103,38 @@ def _log_cohens_d_k2(n: int) -> float:
     return math.log1p((1 - m) / z) + 2.0 * (series + shift)
 
 
-def gaussian_exact_null(statistic: str, grid: Grid, n: int, bias_correction: bool = False, model=None):
+def gaussian_exact_null(statistic: str, grid: Grid, n: int, bias_correction: bool = False, model=None, noise_sigma=0.0):
     """(se, bias) curves of se_mode gaussian_exact: the exact sd and mean of
     the pointwise estimator for Gaussian samples.  Skewness/kurtosis share
-    one null under every Gaussian model; with model "A" or "B" (a ModelSpec
-    or its kind) mean, variance and cohens_d follow from its mean and amplitude.
+    one null under every Gaussian model; with a Gaussian model (a ModelSpec or
+    its kind) mean, variance and cohens_d follow from the mean and sd = sqrt(m2)
+    of population_moments, with the N(0, noise_sigma^2) observation noise.
     With the 1/n divisor n S^2 / sigma^2 is chi-square with n - 1 degrees of
     freedom and independent of the mean, which gives the variance pair and,
     through k_n = E[sigma / S] = sqrt(n/2) Gamma((n-2)/2) / Gamma((n-1)/2),
     Cohen's d = mean / S with mean d k_n and second moment (n d^2 + 1) / (n - 3).
     """
+    statistic = statistic.strip().lower()
     kind = model.kind if isinstance(model, ModelSpec) else model
-    if kind not in (None, "A", "B"):
+    if kind is not None and kind not in GAUSSIAN_MODELS:
         raise NotAvailable("exact standard errors require a Gaussian model")
     if kind is None and statistic not in GAUSSIAN_NULL_STATISTICS:
-        raise ConfigError(
-            "gaussian_exact se from a bare sample is only defined for "
-            "skewness/kurtosis statistics"
-        )
+        raise ConfigError("gaussian_exact se from a bare sample is only defined for skewness/kurtosis statistics")
     if bias_correction:
         raise ConfigError("gaussian_exact already centers with the exact null mean")
     if statistic in GAUSSIAN_NULL_STATISTICS:
         sd, null_mean = gaussian_null(statistic, n)
         return Curve(grid, np.full(len(grid), sd)), Curve(grid, np.full(len(grid), null_mean))
-    amp, zero = model_amplitude(kind, grid.points), Curve(grid, np.zeros(len(grid)))
+    mean, m2 = population_moments(kind, grid.points, 2, noise_sigma)
+    sd, zero = np.sqrt(m2), Curve(grid, np.zeros(len(grid)))
     if statistic == "mean":
-        return Curve(grid, amp / math.sqrt(n)), zero
+        return Curve(grid, sd / math.sqrt(n)), zero
     if statistic == "variance":
-        return Curve(grid, amp * amp * math.sqrt(2.0 * (n - 1)) / n), Curve(grid, -(amp * amp) / n)
+        return Curve(grid, m2 * math.sqrt(2.0 * (n - 1)) / n), Curve(grid, -m2 / n)
     if statistic == "cohens_d":
         if n < MIN_N["gaussian_null"]:
             raise SampleTooSmall(f"exact cohens_d se needs n >= {MIN_N['gaussian_null']}, got {n}")
-        d = model_mean(kind, grid.points) / amp
+        d = mean / sd
         log_k2 = _log_cohens_d_k2(n)
         # (n d^2 + 1) / (n - 3) - d^2 k_n^2, with both O(1/n) parts formed apart
         var = d * d * (3.0 / (n - 3) - math.expm1(log_k2)) + 1.0 / (n - 3)
@@ -166,7 +166,6 @@ def band_parts(
     exact null sd and mean for se_mode gaussian_exact (built first, so a
     request it rejects fails before any residual work), then the max-quantile.
     """
-    statistic = statistic.strip().lower()
     if se_mode not in SE_MODES:
         raise ConfigError(f"se_mode must be one of {SE_MODES}, got {se_mode!r}")
     exact = se_mode == "gaussian_exact" and gaussian_exact_null(statistic, sample.grid, sample.n, bias_correction)

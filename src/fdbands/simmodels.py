@@ -36,6 +36,8 @@ _JITTER_LADDER = (1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
 
 MODEL_A_BANDWIDTH = 2.0 / 21.0
 
+GAUSSIAN_MODELS = ("A", "B")  # Model C's noise is not Gaussian
+
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -94,6 +96,26 @@ def model_c_noise_variance(s: np.ndarray) -> np.ndarray:
     """Variance of the un-normalized Model C mixture at each point."""
     s = np.asarray(s, dtype=float)
     return np.sin(np.pi * s) ** 2 / 9.0 + 4.0 * (s - 0.5) ** 2 / 9.0
+
+
+def population_moments(kind: str, s: np.ndarray, k: int, noise_sigma: float = 0.0) -> np.ndarray:
+    """(mean, m2, ..., mk), k <= 4, at the points s: the population moments of
+    the model's curves plus N(0, noise_sigma^2) noise, which adds sigma^2 to m2
+    and 6 m2 sigma^2 + 3 sigma^4 to m4.  The model noise has standardized m3 and
+    m4 0 and 3 on the Gaussian models and, on Model C, those of its centered
+    chi-square(1) and Exp(1) components (central moments 2, 8, 60 and 1, 2, 9)."""
+    check_noise_sigma(noise_sigma)
+    amp = model_amplitude(kind, s)
+    m2 = amp * amp
+    skew, kurt = 0.0, 3.0
+    if kind not in GAUSSIAN_MODELS:
+        u, w = math.sqrt(2.0) / 6.0 * np.sin(np.pi * s), 2.0 / 3.0 * (s - 0.5)
+        var = model_c_noise_variance(s)  # = 2 u^2 + w^2
+        skew = (8.0 * u**3 + 2.0 * w**3) / var**1.5
+        kurt = (60.0 * u**4 + 12.0 * u**2 * w**2 + 9.0 * w**4) / var**2
+    sig2 = noise_sigma * noise_sigma
+    m4 = kurt * (m2 * m2) + 6.0 * m2 * sig2 + 3.0 * sig2 * sig2
+    return np.stack([model_mean(kind, s), m2 + sig2, skew * m2 * amp, m4][:k])
 
 
 # --------------------------------------------------------------------------

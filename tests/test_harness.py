@@ -1,4 +1,5 @@
 import _ctypes
+import ast
 import math
 import os
 import platform
@@ -32,6 +33,7 @@ from fdbands import (
     truth_curve,
 )
 from fdbands import blas, harness, simmodels, transforms
+from fdbands import rng as rng_module
 from fdbands import scb as scb_module
 from fdbands.blas import blas_thread_counts, set_blas_threads
 from fdbands.harness import (
@@ -44,7 +46,9 @@ from fdbands.harness import (
     gaussian_exact_se,
     resolve_workers,
 )
-from fdbands.transforms import gaussian_se_g1
+from fdbands.rng import METHOD_DRAW, NOISE_DRAW, SAMPLE_DRAW
+from fdbands.simmodels import GAUSSIAN_MODELS, add_observation_noise, population_moments
+from fdbands.transforms import GAUSSIAN_NULL_STATISTICS, TRANSFORMATION_NAMES, gaussian_se_g1
 from fdbands.verify import isserlis_moment_cov
 
 _SRC = str(Path(harness.__file__).resolve().parents[1])
@@ -280,6 +284,99 @@ def test_truth_not_available_cases():
         truth_curve("C", "skewness_z", grid)
     with pytest.raises(NotAvailable):
         truth_curve("C", "kurtosis_z", grid)
+
+
+@pytest.mark.parametrize("noise_sigma", [0.0, 0.2])
+@pytest.mark.parametrize("model", ["A", "B", "C"])
+def test_truth_is_the_statistic_at_the_population_moments(model, noise_sigma):
+    grid = Grid.equispaced(9)
+    for statistic in TRANSFORMATION_NAMES:
+        t = get_transformation(statistic)
+        try:
+            got = truth_curve(model, statistic, grid, noise_sigma).values
+        except NotAvailable:
+            assert model not in GAUSSIAN_MODELS and t.n is not None, statistic
+            continue
+        want = t.central(population_moments(model, grid.points, len(t.orders), noise_sigma))[0]
+        if model in GAUSSIAN_MODELS and statistic in GAUSSIAN_NULL_STATISTICS:
+            # exactly 0, where the kurtosis formula may leave an ulp and
+            # the z forms are 0 by their null target
+            assert np.all(got == 0.0), statistic
+            if t.n is None:
+                np.testing.assert_allclose(want, 0.0, rtol=0, atol=1e-14)
+        else:
+            assert np.array_equal(got, want), statistic
+
+
+@pytest.mark.parametrize("model", ["A", "B", "C"])
+def test_population_moments_match_a_large_noisy_sample(model):
+    # every statistic of 200,000 noisy curves lies within 4.5 plug-in se of
+    # its value at population_moments; leaving the noise out of m2 or m4
+    # moves variance, cohens_d and kurtosis by many se
+    grid, sigma = Grid([0.1, 0.45, 0.8]), 0.2
+    sample = sample_model(ModelSpec(model), 200_000, grid, StreamKey(2718, 0, SAMPLE_DRAW))
+    sample = add_observation_noise(sample, sigma, StreamKey(2718, 0, NOISE_DRAW))
+    for statistic in ("mean", "variance", "cohens_d", "skewness", "kurtosis"):
+        t = get_transformation(statistic)
+        drs = delta_residuals(t, sample)
+        want = t.central(population_moments(model, grid.points, len(t.orders), sigma))[0]
+        assert np.all(np.abs(drs.estimate.values - want) <= 4.5 * drs.se.values), statistic
+
+
+def test_population_moments_of_the_noise():
+    s, sigma = Grid.equispaced(6).points, 0.3
+    for model in ("A", "B", "C"):
+        clean = population_moments(model, s, 4)
+        mean, m2, m3, m4 = population_moments(model, s, 4, sigma)
+        assert np.array_equal(mean, clean[0]) and np.array_equal(m3, clean[2])
+        np.testing.assert_allclose(m2, clean[1] + sigma**2, rtol=1e-15)
+        np.testing.assert_allclose(m4, clean[3] + 6 * clean[1] * sigma**2 + 3 * sigma**4, rtol=1e-15)
+        assert np.array_equal(clean[:2], population_moments(model, s, 2))
+    amp = model_amplitude("B", s)
+    np.testing.assert_allclose(population_moments("B", s, 4)[2:], [0 * amp, 3 * amp**4], rtol=1e-15, atol=0)
+    with pytest.raises(ConfigError, match="^noise_sigma must be finite and nonnegative"):
+        population_moments("A", s, 2, -0.1)
+
+
+def test_truth_and_exact_pair_canonicalize_the_statistic_name():
+    grid = Grid.equispaced(5)
+    assert np.array_equal(truth_curve("C", " Skewness", grid).values, truth_curve("C", "skewness", grid).values)
+    got = gaussian_exact_se("A", " Cohens_D", grid, 20).values
+    assert np.array_equal(got, gaussian_exact_se("A", "cohens_d", grid, 20).values)
+    assert np.array_equal(gaussian_exact_bias("B", "Kurtosis ", grid, 20).values, np.full(5, -6.0 / 21.0))
+    sample = sample_model(ModelSpec("A"), 30, grid, StreamKey(8))
+    parts = [
+        scb_module.band_parts(sample, name, "gkf", 0.05, 100, StreamKey(8, 0, METHOD_DRAW), "gaussian_exact")
+        for name in (" Kurtosis", "kurtosis")
+    ]
+    assert parts[0][1].q == parts[1][1].q
+    assert all(np.array_equal(a.values, b.values) for a, b in zip(parts[0][2:], parts[1][2:]))
+
+
+def test_the_exact_pair_sees_the_observation_noise():
+    # N(0, sigma^2) noise on a Gaussian model leaves it Gaussian, with
+    # variance amplitude^2 + sigma^2; at sigma = 0 the pair is unchanged
+    grid, n, sigma = Grid.equispaced(7), 40, 0.3
+    mean, amp = model_mean("B", grid.points), model_amplitude("B", grid.points)
+    var = amp * amp + sigma * sigma
+    pair = {
+        statistic: [c.values for c in scb_module.gaussian_exact_null(statistic, grid, n, model="B", noise_sigma=sigma)]
+        for statistic in ("mean", "variance", "cohens_d")
+    }
+    np.testing.assert_allclose(pair["mean"], [np.sqrt(var / n), 0 * var], rtol=1e-15, atol=0)
+    np.testing.assert_allclose(pair["variance"], [var * math.sqrt(2 * (n - 1)) / n, -var / n], rtol=1e-15)
+    d, k = mean / np.sqrt(var), math.sqrt(n / 2) * math.gamma((n - 2) / 2) / math.gamma((n - 1) / 2)
+    want = [np.sqrt((n * d * d + 1) / (n - 3) - (d * k) ** 2), d * (k - 1)]
+    np.testing.assert_allclose(pair["cohens_d"], want, rtol=1e-11, atol=1e-15)
+    for statistic in ("mean", "variance", "cohens_d", "kurtosis"):
+        clean = scb_module.gaussian_exact_null(statistic, grid, n, model="B")
+        zero = scb_module.gaussian_exact_null(statistic, grid, n, model="B", noise_sigma=0.0)
+        assert all(np.array_equal(a.values, b.values) for a, b in zip(clean, zero))
+    cfg = _tiny_config(statistic="cohens_d", se_mode="gaussian_exact", sample_sizes=(40,), noise_sigma=sigma)
+    (cell,) = harness._cells(cfg)
+    assert np.array_equal(cell.truth.values, truth_curve("A", "cohens_d", cell.grid, sigma).values)
+    want = scb_module.gaussian_exact_null("cohens_d", cell.grid, 40, model="A", noise_sigma=sigma)
+    assert all(np.array_equal(a.values, b.values) for a, b in zip(cell.exact, want))
 
 
 def test_gaussian_exact_se_and_bias_curves():
@@ -623,6 +720,26 @@ def test_observation_noise_path():
     assert 0.0 <= report.rows[0].coverage <= 1.0
 
 
+@pytest.mark.parametrize("se_mode,statistic", [
+    ("estimated", "cohens_d"),
+    ("estimated", "variance"),
+    ("gaussian_exact", "mean"),
+    ("gaussian_exact", "variance"),
+    ("gaussian_exact", "cohens_d"),
+])
+def test_noisy_coverage_scores_against_the_noisy_truth(se_mode, statistic):
+    # scored against the noise-free truth and exact pair these read 0.035,
+    # 0.0, 0.895, 0.0 and 0.105; the exact mean pair's noise is pinned by
+    # test_the_exact_pair_sees_the_observation_noise
+    cfg = ExperimentConfig(
+        model="A", statistic=statistic, methods=("gkf",), se_mode=se_mode, sample_sizes=(400,),
+        grid_size=50, replicates=200, noise_sigma=0.1, seed=3, workers=1,
+    )
+    (row,) = run_coverage(cfg).rows
+    assert row.successes == 200
+    assert row.coverage >= 0.85
+
+
 def test_gaussian_exact_kurtosis_centers_with_known_bias():
     cfg = _tiny_config(
         statistic="kurtosis", se_mode="gaussian_exact", sample_sizes=(30,), replicates=100
@@ -685,3 +802,38 @@ def test_band_curves_modes(tmp_path):
     assert width == pytest.approx(2 * band_exact.q.q * gaussian_se_g1(60), rel=1e-12)
     with pytest.raises(ConfigError):
         band_curves(sample, "cohens_d", "mult", 0.05, 200, StreamKey(6), se_mode="gaussian_exact")
+
+
+# --------------------------------------------------------------------------
+# benchmark stream layout
+# --------------------------------------------------------------------------
+
+def _callee(call: ast.Call):
+    return call.func.attr if isinstance(call.func, ast.Attribute) else getattr(call.func, "id", None)
+
+
+def _draw_base(node) -> int:
+    """A draw-counter expression's value, with rng's names read from rng.py
+    and every other name (a method index) taken as 0."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+        return _draw_base(node.left) + _draw_base(node.right)
+    if isinstance(node, (ast.Attribute, ast.Name)):
+        return getattr(rng_module, node.attr if isinstance(node, ast.Attribute) else node.id, 0)
+    return ast.literal_eval(node)
+
+
+def test_benchmark_streams_follow_the_rng_layout():
+    # bench/child.py times a coverage replicate on its own streams: the
+    # sample at SAMPLE_DRAW and quantile method i at METHOD_DRAW + i, so a
+    # layout change in rng.py must reach the benchmark too
+    tree = ast.parse((Path(__file__).resolve().parents[1] / "bench" / "child.py").read_text())
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    keys = [call for call in calls if _callee(call) == "StreamKey"]
+    draws = {}
+    for call in calls:
+        for arg in [*call.args, *(kw.value for kw in call.keywords)]:
+            if any(arg is key for key in keys):
+                draw = [kw.value for kw in arg.keywords if kw.arg == "draw"] or arg.args[2:]
+                draws.setdefault(_callee(call), []).append(_draw_base(draw[0]) if draw else 0)
+    assert draws == {"sample_model": [SAMPLE_DRAW] * 2, "estimate_quantile": [METHOD_DRAW] * 2}
+    assert len(keys) == 4

@@ -9,6 +9,7 @@ from fdbands import (
     UnsupportedOrder,
     get_transformation,
 )
+from fdbands import verify
 from fdbands.simmodels import model_a_cov
 from fdbands.verify import (
     OracleReport,
@@ -17,6 +18,7 @@ from fdbands.verify import (
     isserlis_moment_cov,
     mc_transformed_cov,
     oracle_bessel,
+    oracle_cohens_d_cov,
     oracle_derivatives,
     oracle_isserlis,
     run_oracles,
@@ -150,10 +152,20 @@ def test_oracle_isserlis_reports_the_mc_error_against_the_c22_block():
     err = np.max(np.abs(mc - want))
     (report,) = oracle_isserlis(n=50, reps=300, key=key, t_points=4)
     assert (report.name, report.samples, report.tolerance, report.criterion) == (
-        "variance cov MC vs Isserlis c22", 300, 0.08, "abs"
+        "variance cov MC vs Isserlis c22", 300, 0.05, "rel"
     )
     assert (report.max_abs_err, report.max_rel_err) == (err, err / np.max(np.abs(want)))
-    assert report.passed == (err <= 0.08)
+    assert report.passed == (err / np.max(np.abs(want)) <= 0.05)
+
+
+@pytest.mark.parametrize("oracle", [oracle_isserlis, oracle_cohens_d_cov])
+def test_a_zero_monte_carlo_covariance_fails_the_oracle(oracle, monkeypatch):
+    # each closed form has an entry well above its tolerance, so an
+    # estimate of all zeros cannot pass
+    monkeypatch.setattr(verify, "mc_transformed_cov", lambda spec, t, n, grid, reps, key: np.zeros((len(grid),) * 2))
+    (report,) = oracle()
+    assert report.max_rel_err == 1.0
+    assert not report.passed
 
 
 def test_oracle_derivatives_passes():
