@@ -55,10 +55,20 @@ def _openblas_functions() -> tuple:
     return tuple(found)
 
 
-def set_blas_threads(n: int) -> None:
-    """Limit every loaded OpenBLAS to n threads; a no-op if none is found."""
-    for setter, _ in _openblas_functions():
-        setter(n)
+def set_blas_threads(n: int | tuple[int, ...]) -> None:
+    """Set every loaded OpenBLAS to n threads; a no-op if none is found.
+
+    A tuple from blas_thread_counts() gives each library its own count, so
+    saved counts are restored exactly.  A library already at its count is
+    left alone: in a forked child OpenBLAS has shut its thread pool down,
+    and a set call, even to the current count, starts a new pool whose
+    threads spin for about 0.1 s.  The get call starts nothing.
+    """
+    functions = _openblas_functions()
+    counts = (n,) * len(functions) if isinstance(n, int) else n
+    for (setter, getter), count in zip(functions, counts, strict=True):
+        if getter() != count:
+            setter(count)
 
 
 def blas_thread_counts() -> tuple[int, ...]:

@@ -18,12 +18,14 @@ import math
 import os
 import sys
 import time
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
-from .blas import set_blas_threads
+from .blas import blas_thread_counts, set_blas_threads
 from .errors import ConfigError, DomainGuardViolation, NotAvailable
 from .fdata import Curve, Grid, write_csv
 from .quantile import (
@@ -190,14 +192,14 @@ def truth_curve(model, statistic: str, grid: Grid, noise_sigma: float = 0.0) -> 
     return Curve(grid, t.central(population_moments(kind, grid.points, len(t.orders), noise_sigma))[0])
 
 
-def gaussian_exact_se(model, statistic: str, grid: Grid, n: int) -> Curve:
+def gaussian_exact_se(model, statistic: str, grid: Grid, n: int, noise_sigma: float = 0.0) -> Curve:
     """Exact null sd of the statistic curve for the Gaussian models."""
-    return gaussian_exact_null(statistic, grid, n, model=model)[0]
+    return gaussian_exact_null(statistic, grid, n, model=model, noise_sigma=noise_sigma)[0]
 
 
-def gaussian_exact_bias(model, statistic: str, grid: Grid, n: int) -> Curve:
+def gaussian_exact_bias(model, statistic: str, grid: Grid, n: int, noise_sigma: float = 0.0) -> Curve:
     """Exact null mean shift of the estimator (zero except kurtosis/variance)."""
-    return gaussian_exact_null(statistic, grid, n, model=model)[1]
+    return gaussian_exact_null(statistic, grid, n, model=model, noise_sigma=noise_sigma)[1]
 
 
 # --------------------------------------------------------------------------
@@ -324,18 +326,29 @@ def available_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _coverage_pool(cfg: ExperimentConfig, workers: int) -> ProcessPoolExecutor:
+@contextmanager
+def _coverage_pool(cfg: ExperimentConfig, workers: int) -> Iterator[ProcessPoolExecutor]:
     """Worker pool that shares the cores: each worker gets cores // workers BLAS threads.
 
-    The Model B factor is built here, once, and shipped to every worker.
+    The calling process holds that count while the pool lives, so forked
+    workers inherit it and never restart OpenBLAS's thread pool; under
+    spawn each worker's initializer sets it.  The caller gets its own
+    counts back on exit, and its OpenBLAS threads then spin for about
+    0.1 s, as they do after any BLAS call.  The Model B factor is built
+    here, once, and shipped to every worker.
     """
     import_deferred(cfg.methods)
     factor = model_b_chol(Grid.equispaced(cfg.grid_size), cfg.jitter) if cfg.model == "B" else None
-    return ProcessPoolExecutor(
-        max_workers=workers,
-        initializer=_init_worker,
-        initargs=(cfg, factor, max(1, available_cores() // workers)),
-    )
+    threads = max(1, available_cores() // workers)
+    saved = blas_thread_counts()
+    set_blas_threads(threads)
+    try:
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_init_worker, initargs=(cfg, factor, threads)
+        ) as pool:
+            yield pool
+    finally:
+        set_blas_threads(saved)
 
 
 def run_coverage(cfg: ExperimentConfig) -> CoverageReport:

@@ -55,8 +55,11 @@ _Z2_U_FLOOR = 1e-8
 
 # Smallest sample size each finite-N formula accepts: the constants of the
 # Z1 (skewness_z) and Z2 (kurtosis_z) normalizing transforms, and the exact
-# Gaussian null sd and mean of the skewness and kurtosis estimators.
-MIN_N = {"Z1": 8, "Z2": 20, "gaussian_null": 4}
+# Gaussian null sd and mean of the skewness and kurtosis estimators.  Variance
+# and kurtosis need 3 curves for a nonzero plug-in se: at N = 2 both curves
+# sit at +-d around the mean, and their residuals d^2 - m2 and d^4 - m4 -
+# 4 m3 d vanish.
+MIN_N = {"Z1": 8, "Z2": 20, "gaussian_null": 4, "variance": 3, "kurtosis": 3}
 _Z_KINDS = {"skewness_z": "Z1", "kurtosis_z": "Z2"}
 
 
@@ -376,8 +379,8 @@ def _z_composed(stat, guard, params: ZTransformParams):
 
 
 def min_sample_size(statistic: str) -> int:
-    """Smallest N for which the statistic's transformation is defined."""
-    return MIN_N.get(_Z_KINDS.get(statistic), 2)
+    """Smallest N for which the statistic's transformation and se are defined."""
+    return MIN_N.get(_Z_KINDS.get(statistic, statistic), 2)
 
 
 def get_transformation(name: str, n=None) -> Transformation:

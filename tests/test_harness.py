@@ -1,6 +1,7 @@
 import _ctypes
 import ast
 import math
+import multiprocessing
 import os
 import platform
 import subprocess
@@ -103,6 +104,17 @@ def test_config_rejects_bad_values(line, error_bit):
 def test_config_rejects_a_repeated_key():
     with pytest.raises(ConfigError, match=r"^config line 3: duplicate key 'replicates'$"):
         ExperimentConfig.from_text("replicates = 100\nseed = 1\nReplicates = 200\n")
+
+
+@pytest.mark.parametrize("statistic", ["variance", "kurtosis"])
+def test_config_rejects_two_curves_for_variance_and_kurtosis(statistic):
+    # at N = 2 the plug-in se of both statistics is exactly 0, so every
+    # replicate of such a run could only fail
+    with pytest.raises(ConfigError, match=rf"^sample size 2 below the minimum 3 for {statistic}$"):
+        ExperimentConfig(model="A", statistic=statistic, methods=("mult", "gkf"), sample_sizes=(2,))
+    cfg = _tiny_config(statistic=statistic, methods=("mult", "gkf", "tmult"), sample_sizes=(3,))
+    (row, *_) = run_coverage(cfg).rows
+    assert row.successes == cfg.replicates
 
 
 def test_config_kurtosis_z_minimum_n():
@@ -393,6 +405,15 @@ def test_gaussian_exact_se_and_bias_curves():
         gaussian_exact_se("C", "skewness", grid, n)
 
 
+@pytest.mark.parametrize("model", ["A", "B"])
+def test_the_exact_wrappers_pass_the_observation_noise(model):
+    grid, n = Grid.equispaced(7), 40
+    for statistic in ("mean", "variance", "cohens_d", "kurtosis"):
+        se, bias = scb_module.gaussian_exact_null(statistic, grid, n, model=model, noise_sigma=0.1)
+        assert np.array_equal(gaussian_exact_se(model, statistic, grid, n, noise_sigma=0.1).values, se.values)
+        assert np.array_equal(gaussian_exact_bias(model, statistic, grid, n, noise_sigma=0.1).values, bias.values)
+
+
 @pytest.mark.parametrize("kind", ["A", "B"])
 def test_gaussian_exact_se_matches_the_model_covariance(kind):
     # the finite-N pairs of the 1/N estimators, whose N se^2 tends to the
@@ -561,6 +582,49 @@ def test_run_coverage_leaves_parent_blas_threads(monkeypatch):
     monkeypatch.setenv("FDBANDS_WORKERS", "2")
     run_coverage(_tiny_config())
     assert blas_thread_counts() == before
+
+
+def _replicate_and_count_threads():
+    harness._pool_replicate((0, 0))
+    return len(os.listdir("/proc/self/task"))
+
+
+def test_forked_workers_hold_one_thread(monkeypatch):
+    # a worker that set its BLAS count after the fork would restart
+    # OpenBLAS's thread pool and hold one more thread per library
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("no /proc")
+    if not blas_thread_counts():
+        pytest.skip("no OpenBLAS found in this process")
+    if multiprocessing.get_context().get_start_method() != "fork":
+        pytest.skip("workers are not forked")
+    monkeypatch.setattr(harness, "available_cores", lambda: 2)
+    with _coverage_pool(_tiny_config(), 2) as pool:
+        assert pool.submit(_replicate_and_count_threads).result(timeout=60) == 1
+
+
+class _FakeOpenblas:
+    def __init__(self, threads):
+        self.threads, self.set_calls = threads, []
+
+    def set(self, n):
+        self.set_calls.append(n)
+        self.threads = n
+
+    def get(self):
+        return self.threads
+
+
+def test_set_blas_threads_sets_only_what_differs(monkeypatch):
+    libs = [_FakeOpenblas(1), _FakeOpenblas(4)]
+    monkeypatch.setattr(blas, "_openblas_functions", lambda: tuple((lib.set, lib.get) for lib in libs))
+    set_blas_threads(1)
+    assert [lib.set_calls for lib in libs] == [[], [1]]
+    set_blas_threads((3, 1))
+    assert [lib.set_calls for lib in libs] == [[3], [1]]
+    assert blas_thread_counts() == (3, 1)
+    with pytest.raises(ValueError):
+        set_blas_threads((2,))
 
 
 def test_blas_helpers_are_noops_without_openblas(monkeypatch):

@@ -300,7 +300,7 @@ def test_minimum_sample_sizes_and_messages():
         with pytest.raises(SampleTooSmall, match=rf"^{fn.__name__} needs n >= 4, got 3$"):
             fn(3)
     assert {name: min_sample_size(name) for name in TRANSFORMATION_NAMES} == {
-        "mean": 2, "variance": 2, "cohens_d": 2, "skewness": 2, "kurtosis": 2,
+        "mean": 2, "variance": 3, "cohens_d": 2, "skewness": 2, "kurtosis": 3,
         "skewness_z": 8, "kurtosis_z": 20,
     }
 
