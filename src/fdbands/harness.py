@@ -336,6 +336,14 @@ def _coverage_pool(cfg: ExperimentConfig, workers: int) -> Iterator[ProcessPoolE
     counts back on exit, and its OpenBLAS threads then spin for about
     0.1 s, as they do after any BLAS call.  The Model B factor is built
     here, once, and shipped to every worker.
+
+    Before forking, the caller also loads what a replicate would import on
+    first use (quantile.import_deferred: numpy.random, and scipy.special
+    for tgkf), so a forked worker shares those pages and its private memory
+    is its replicates' working set.  On the boot_a cell (Model A, N = 200,
+    T = 100, B = 1000, 2 workers) a worker holds 6.5 MB of private dirty
+    memory after 100 replicates, against 12.5 MB when each worker imported
+    numpy.random itself and the bootstrap kept block-sized temporaries.
     """
     import_deferred(cfg.methods)
     factor = model_b_chol(Grid.equispaced(cfg.grid_size), cfg.jitter) if cfg.model == "B" else None

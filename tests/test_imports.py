@@ -1,5 +1,7 @@
 """`import fdbands` must not load SciPy; only the Student-t tail, the Model B
 correlation and the quadrature oracle import parts of it, on first use.
+Nor does it load numpy.random, which a coverage pool imports before it
+forks, so that its workers import nothing while they run replicates.
 
 Each case runs in a fresh interpreter and counts modules, so nothing here
 depends on timing.  The package's own modules import each other without a
@@ -8,10 +10,13 @@ cycle, counting the imports inside functions.
 
 import ast
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import fdbands
 
@@ -38,17 +43,25 @@ def _public_subpackages(loaded: set[str]) -> set[str]:
     return {name for name in subpackages if not name.startswith("_")} - {"version"}
 
 
-def _scipy_modules_after(code: str) -> set[str]:
-    script = code + (
-        "\nimport json, sys\n"
-        "print(json.dumps([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]))\n"
-    )
+def _run(script: str):
+    """The JSON value on the last line a fresh interpreter prints for script."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([_SRC, os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
-    return set(json.loads(done.stdout.splitlines()[-1]))
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def _modules_after(code: str, package: str) -> set[str]:
+    return set(_run(code + (
+        "\nimport json, sys\n"
+        f"print(json.dumps([m for m in sys.modules if m == {package!r} or m.startswith({package + '.'!r})]))\n"
+    )))
+
+
+def _scipy_modules_after(code: str) -> set[str]:
+    return _modules_after(code, "scipy")
 
 
 def test_import_loads_no_scipy():
@@ -116,3 +129,41 @@ def test_import_deferred_loads_scipy_special_for_tgkf_only():
     prelude = "from fdbands.quantile import import_deferred\n"
     assert _scipy_modules_after(prelude + "import_deferred(('gkf', 'mult'))") == set()
     assert "scipy.special" in _scipy_modules_after(prelude + "import_deferred(('gkf', 'tgkf'))")
+
+
+def test_import_loads_no_numpy_random():
+    # the pool pre-loads numpy.random before it forks; the import path stays lean
+    assert _modules_after("import fdbands", "numpy.random") == set()
+    assert _modules_after("import fdbands.cli", "numpy.random") == set()
+
+
+_WORKER_IMPORTS = """
+import json, sys
+from fdbands import harness
+from fdbands.harness import ExperimentConfig, _coverage_pool
+
+def replicate_and_list_new_modules():
+    before = set(sys.modules)
+    harness._pool_replicate((0, 0))
+    return sorted(set(sys.modules) - before)
+
+new = {}
+for model, methods in (
+    ("A", ("mult", "rmult", "tmult", "rtmult", "gkf")), ("C", ("mult", "tmult", "gkf")), ("B", ("tgkf",))
+):
+    cfg = ExperimentConfig(
+        model=model, statistic="cohens_d", methods=methods, sample_sizes=(30,), grid_size=20,
+        replicates=100, bootstrap_b=100, seed=5,
+    )
+    with _coverage_pool(cfg, 2) as pool:
+        new[model] = pool.submit(replicate_and_list_new_modules).result(timeout=60)
+print(json.dumps(new))
+"""
+
+
+def test_forked_workers_import_nothing_during_a_replicate():
+    # a module a worker imports on first use is private to that worker, and
+    # is imported again by every worker of every run
+    if multiprocessing.get_context().get_start_method() != "fork":
+        pytest.skip("workers are not forked")
+    assert _run(_WORKER_IMPORTS) == {"A": [], "C": [], "B": []}

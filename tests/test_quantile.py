@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -571,3 +572,28 @@ def test_bootstrap_cost_per_replicate_guard():
     boot = _best_of(bootstrap)
     draw = _best_of(lambda: key.generator().standard_normal((1000, 200)))
     assert boot / draw <= 2.0 * _BOOT_A_COST_RATIO, f"{boot * 1e3:.1f} ms vs {draw * 1e3:.2f} ms"
+
+
+@pytest.mark.parametrize("method", ["tmult", "rtmult"])
+def test_t_bootstrap_holds_few_weight_blocks(method):
+    # boot_a cell: one 512 x N block of weights is alive at a time, and it
+    # is squared in place; the rest is S, S^2 and two 512 x T arrays.  A
+    # fresh g * g and keeping the previous block while drawing the next
+    # took about 3.8 (tmult) and 4.1 (rtmult) blocks.
+    sample = sample_model(ModelSpec("A"), 200, Grid.equispaced(100), StreamKey(23))
+    drs = delta_residuals(get_transformation("cohens_d"), sample)
+    key = StreamKey(23, 0, 2)
+    estimate_quantile(drs, method, 0.05, b=1000, key=key)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        estimate_quantile(drs, method, 0.05, b=1000, key=key)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    block = 512 * drs.n * 8
+    assert peak <= 3 * block, f"peak {peak / block:.2f} weight blocks"
