@@ -267,8 +267,7 @@ def bootstrap_quantile(drs: DeltaResidualSet, cfg: MultiplierConfig, alpha: floa
         done += rows
         del g, m
 
-    rank = math.ceil((1.0 - alpha) * cfg.b)
-    rank = min(max(rank, 1), cfg.b)
+    rank = math.ceil((1.0 - alpha) * cfg.b)  # in [1, b], as check_alpha keeps alpha in (0, 1)
     order = np.sort(maxima)
     q = float(order[rank - 1])
     return QuantileEstimate(
@@ -294,13 +293,9 @@ def hermite(n: int, u) -> np.ndarray | float:
     """Probabilists' Hermite polynomial H_n(u), degrees 0..10."""
     if not 0 <= n <= 10:
         raise DegreeOutOfRange(f"hermite supports degrees 0..10, got {n}")
-    u = np.asarray(u, dtype=float)
-    h_prev = np.ones_like(u)
-    if n == 0:
-        return h_prev if h_prev.ndim else float(h_prev)
-    h = u.copy()
-    for k in range(1, n):
-        h, h_prev = u * h - k * h_prev, h
+    from numpy.polynomial.hermite_e import hermeval  # deferred: `import fdbands` skips it
+
+    h = hermeval(np.asarray(u, dtype=float), [0.0] * n + [1.0])
     return h if h.ndim else float(h)
 
 

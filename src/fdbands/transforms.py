@@ -387,7 +387,8 @@ def get_transformation(name: str, n=None) -> Transformation:
     """Look up a statistic by registry name.
 
     n is required context for the N-dependent families (skewness_z,
-    kurtosis_z); passing n=None selects their limiting member.
+    kurtosis_z); passing n=None selects their limiting member.  A given n
+    below the statistic's minimum sample size raises SampleTooSmall.
     """
     key = name.strip().lower()
     if key not in TRANSFORMATION_NAMES:
@@ -397,6 +398,8 @@ def get_transformation(name: str, n=None) -> Transformation:
     if key in _Z_KINDS:
         params = z_params(_Z_KINDS[key], math.inf if n is None else n)
         stat, guard = _z_composed(stat, guard, params)
+    if n is not None:
+        _require_n(n, min_sample_size(key), key)
     orders = MomentOrders(tuple(range(1, top + 1)))
     return Transformation(key, orders, stat, guard, degree, None if params is None else params.n)
 

@@ -28,8 +28,6 @@ from .transforms import (
     get_transformation,
 )
 
-_MC_CHUNK = 200
-
 
 @dataclass(frozen=True)
 class OracleReport:
@@ -121,30 +119,21 @@ def mc_transformed_cov(
     """Empirical covariance of sqrt(n) * H(sample moments) over reps draws.
 
     Brute-force realization of the limiting covariance of the normalized
-    estimator; replicate i uses the stream key.for_replicate(i).  Guard
-    violations propagate (they indicate the check is run at a hopeless n).
+    estimator; replicate i uses the stream key.for_replicate(i).  The moments
+    of all replicates sit in one (K, reps * T) stack, K * reps * T * 8 bytes,
+    on which the guard and H run once.  Guard violations propagate (they
+    indicate the check is run at a hopeless n).
     """
     width = len(grid)
-    total = np.zeros(width)
-    outer = np.zeros((width, width))
-    done = 0
-    while done < reps:
-        rows = min(_MC_CHUNK, reps - done)
-        block = np.empty((rows, width))
-        for i in range(rows):
-            sample = sample_model(spec, n, grid, key.for_replicate(done + i))
-            moments = pointwise_moments(sample, t.orders)
-            ok = t.domain_guard(moments.values)
-            if not np.all(ok):
-                raise DomainGuardViolation(
-                    f"{t.name}: guard violation in MC replicate {done + i}"
-                )
-            block[i] = t.value(moments.values)
-        total += block.sum(axis=0)
-        outer += block.T @ block
-        done += rows
-    mean = total / reps
-    return n * (outer / reps - np.outer(mean, mean))
+    moments = np.empty((len(t.orders), reps, width))
+    for i in range(reps):
+        moments[:, i] = pointwise_moments(sample_model(spec, n, grid, key.for_replicate(i)), t.orders).values
+    moments = moments.reshape(len(t.orders), reps * width)
+    ok = t.domain_guard(moments)
+    if not np.all(ok):
+        raise DomainGuardViolation(f"{t.name}: guard violation in MC replicate {int(np.argmax(~ok)) // width}")
+    values = t.value(moments).reshape(reps, width)
+    return n * np.cov(values, rowvar=False, bias=True)
 
 
 # --------------------------------------------------------------------------

@@ -82,6 +82,22 @@ def test_gauss_test_vanished_se_is_a_numeric_error(tmp_path, capsys, method):
     assert "estimated se vanished" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("method", ["mult", "tmult", "gkf"])
+@pytest.mark.parametrize("statistic", ["variance", "kurtosis"])
+def test_two_curves_are_below_the_minimum_n_on_the_band_path(tmp_path, capsys, statistic, method):
+    # at N = 2 the variance and kurtosis residuals vanish, so the se is 0:
+    # a config error, not a numeric failure or a zero-width band
+    sample_path = tmp_path / "s.csv"
+    assert main(["simulate", "--model", "A", "--n", "2", "--t", "10", "--seed", "1", "--out", str(sample_path)]) == 0
+    capsys.readouterr()
+    band_path = tmp_path / "band.csv"
+    common = ["--in", str(sample_path), "--stat", statistic, "--method", method, "--b", "100"]
+    assert main(["band", *common, "--out", str(band_path)]) == 1
+    assert main(["quantile", *common]) == 1
+    assert capsys.readouterr().err == f"error: {statistic} needs n >= 3, got 2\n" * 2
+    assert not band_path.exists()
+
+
 def test_coverage_subcommand(tmp_path):
     cfg = tmp_path / "exp.cfg"
     out = tmp_path / "cov.csv"

@@ -137,6 +137,12 @@ def test_import_loads_no_numpy_random():
     assert _modules_after("import fdbands.cli", "numpy.random") == set()
 
 
+def test_import_loads_no_numpy_polynomial():
+    # hermite imports it on first use
+    assert _modules_after("import fdbands", "numpy.polynomial") == set()
+    assert _modules_after("import fdbands.cli", "numpy.polynomial") == set()
+
+
 _WORKER_IMPORTS = """
 import json, sys
 from fdbands import harness

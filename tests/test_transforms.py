@@ -389,6 +389,19 @@ def test_z_composite_needs_minimum_sample_size():
         get_transformation("kurtosis_z", 19)
 
 
+def test_get_transformation_enforces_each_statistics_minimum_n():
+    for name in TRANSFORMATION_NAMES:
+        minimum = min_sample_size(name)
+        assert get_transformation(name, minimum).name == name
+        assert get_transformation(name).name == name  # no n, no check
+        with pytest.raises(SampleTooSmall) as raised:
+            get_transformation(name, minimum - 1)
+        if name.endswith("_z"):  # the z forms keep z_params' message
+            assert str(raised.value).endswith(f"transform needs n >= {minimum}, got {minimum - 1}")
+        else:
+            assert str(raised.value) == f"{name} needs n >= {minimum}, got {minimum - 1}"
+
+
 def test_z_composite_gradient_is_chain_rule():
     rng = np.random.default_rng(8)
     t_inner = get_transformation("skewness")

@@ -3,11 +3,15 @@ import pytest
 
 from fdbands import (
     Curve,
+    DomainGuardViolation,
+    FunctionalSample,
     Grid,
     ModelSpec,
     StreamKey,
     UnsupportedOrder,
     get_transformation,
+    pointwise_moments,
+    sample_model,
 )
 from fdbands import verify
 from fdbands.simmodels import model_a_cov
@@ -87,6 +91,39 @@ def test_mc_cov_of_mean_recovers_model_covariance():
     got = mc_transformed_cov(spec, get_transformation("mean"), 100, grid, 20000, StreamKey(51))
     want = model_a_cov(grid)
     assert np.max(np.abs(got - want)) <= 5e-3
+
+
+@pytest.mark.parametrize("name", ["cohens_d", "variance", "kurtosis_z"])
+def test_mc_cov_matches_a_per_replicate_reference(name):
+    # H of each replicate's moments on its own, then the 1/reps covariance
+    spec, grid, key, n, reps = ModelSpec("A"), Grid([0.1, 0.5, 0.9]), StreamKey(71), 60, 50
+    t = get_transformation(name)
+    rows = np.array([
+        t.value(pointwise_moments(sample_model(spec, n, grid, key.for_replicate(i)), t.orders).values)
+        for i in range(reps)
+    ])
+    centered = rows - rows.mean(axis=0)
+    want = n * centered.T @ centered / reps
+    got = mc_transformed_cov(spec, t, n, grid, reps, key)
+    assert got.shape == (3, 3)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_mc_cov_names_the_first_replicate_that_fails_the_guard(monkeypatch):
+    # replicates 3 and 5 hold a constant curve value at the last grid point,
+    # where cohens_d's sd vanishes; the first failure is reported
+    def sample(spec, n, grid, key):
+        drawn = sample_model(spec, n, grid, key)
+        if key.replicate in (3, 5):
+            values = drawn.values.copy()
+            values[:, -1] = 1.5
+            return FunctionalSample(grid, values)
+        return drawn
+
+    monkeypatch.setattr(verify, "sample_model", sample)
+    t = get_transformation("cohens_d")
+    with pytest.raises(DomainGuardViolation, match=r"^cohens_d: guard violation in MC replicate 3$"):
+        mc_transformed_cov(ModelSpec("A"), t, 30, Grid([0.2, 0.5, 0.8]), 8, StreamKey(73))
 
 
 def test_mc_cov_skewness_diagonal_near_asymptotic_six():
